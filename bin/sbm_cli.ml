@@ -22,7 +22,12 @@ let setup_logs level =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level level
 
-let read_aig path = Sbm_aig.Aiger.read_file path
+(* Malformed input is a usage error: one line on stderr, exit 2. *)
+let read_aig path =
+  try Sbm_aig.Aiger.read_file path
+  with Sbm_aig.Aiger.Parse_error { at; msg } ->
+    Fmt.epr "sbm: %s: %s@." path (Sbm_aig.Aiger.error_to_string at msg);
+    Stdlib.exit 2
 
 let aig_arg =
   let doc = "Input network in ASCII AIGER (aag) format." in
@@ -313,7 +318,11 @@ let opt_cmd =
          & info [ "flow" ] ~docv:"FLOW" ~doc)
   in
   let verify_arg =
-    let doc = "Check combinational equivalence of the result." in
+    let doc =
+      "Check combinational equivalence of the result. A counterexample \
+       exits 1 without writing $(b,-o); an inconclusive check (solver \
+       budget) writes $(b,-o) and exits 3."
+    in
     Arg.(value & flag & info [ "verify" ] ~doc)
   in
   let trace_arg =
@@ -398,13 +407,24 @@ let opt_cmd =
               Fmt.epr "sbm: cannot write telemetry report: %s@." msg)
           report)
       collector;
-    if verify then begin
-      match Sbm_cec.Cec.check aig optimized with
-      | Sbm_cec.Cec.Equivalent -> Fmt.pr "equivalence: proven@."
-      | Sbm_cec.Cec.Counterexample _ -> Fmt.pr "equivalence: FAILED@."
-      | Sbm_cec.Cec.Unknown -> Fmt.pr "equivalence: unknown (budget)@."
-    end;
-    Option.iter (Sbm_aig.Aiger.write_file optimized) output
+    (* A disproved result is never written (exit 1); an unproven one
+       is written but exits 3. *)
+    let verdict =
+      if not verify then 0
+      else
+        match Sbm_cec.Cec.check aig optimized with
+        | Sbm_cec.Cec.Equivalent ->
+          Fmt.pr "equivalence: proven@.";
+          0
+        | Sbm_cec.Cec.Counterexample _ ->
+          Fmt.pr "equivalence: FAILED@.";
+          1
+        | Sbm_cec.Cec.Unknown ->
+          Fmt.pr "equivalence: unknown (budget)@.";
+          3
+    in
+    if verdict <> 1 then Option.iter (Sbm_aig.Aiger.write_file optimized) output;
+    if verdict <> 0 then Stdlib.exit verdict
   in
   let term =
     Term.(

@@ -604,15 +604,8 @@ let size aig =
    live gate (connective, phase, or support) reaches the outputs and
    changes the digest with overwhelming probability. *)
 
-let fh_finalize z =
-  (* SplitMix64 finalizer: full-avalanche 64-bit mix. *)
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let fh_mix2 a b =
-  fh_finalize (Int64.add (Int64.mul a 0x9E3779B97F4A7C15L) b)
+let fh_finalize = Sbm_util.Hash64.finalize
+let fh_mix2 = Sbm_util.Hash64.mix2
 
 let fh_const_tag = fh_finalize 0x5bd1e995L
 let fh_input_tag = fh_finalize 0xc2b2ae35L

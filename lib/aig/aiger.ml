@@ -51,7 +51,22 @@ let write_file aig path =
    Both readers pull bytes through a fixed-size chunk buffer, so
    parsing a file never materializes its contents as one string: peak
    reader memory is one chunk plus the current line. The same source
-   serves in-memory strings (tests, round-trips) and channels. *)
+   serves in-memory strings (tests, round-trips) and channels. It
+   counts lines and bytes consumed, so parse errors can say where. *)
+
+type location = Line of int | Byte of int
+
+exception Parse_error of { at : location; msg : string }
+
+let error_to_string at msg =
+  match at with
+  | Line n -> Printf.sprintf "line %d: %s" n msg
+  | Byte n -> Printf.sprintf "byte %d: %s" n msg
+
+let () =
+  Printexc.register_printer (function
+    | Parse_error { at; msg } -> Some ("Aiger.Parse_error: " ^ error_to_string at msg)
+    | _ -> None)
 
 type source = {
   refill : bytes -> int;
@@ -59,22 +74,27 @@ type source = {
   chunk : bytes;
   mutable pos : int;
   mutable avail : int; (* -1 once the producer is exhausted *)
+  mutable line : int; (* lines consumed *)
+  mutable offset : int; (* bytes consumed *)
 }
 
 let chunk_size = 65536
 
 let source_of_channel ic =
   let chunk = Bytes.create chunk_size in
-  { refill = (fun b -> input ic b 0 (Bytes.length b)); chunk; pos = 0; avail = 0 }
+  { refill = (fun b -> input ic b 0 (Bytes.length b)); chunk; pos = 0; avail = 0;
+    line = 0; offset = 0 }
 
 let source_of_string s =
   (* The string is already resident; serve it as the one chunk. *)
-  { refill = (fun _ -> 0); chunk = Bytes.of_string s; pos = 0; avail = String.length s }
+  { refill = (fun _ -> 0); chunk = Bytes.of_string s; pos = 0;
+    avail = String.length s; line = 0; offset = 0 }
 
 let next_byte src =
   if src.pos < src.avail then begin
     let c = Bytes.get_uint8 src.chunk src.pos in
     src.pos <- src.pos + 1;
+    src.offset <- src.offset + 1;
     c
   end
   else if src.avail < 0 then -1
@@ -87,6 +107,7 @@ let next_byte src =
     else begin
       src.pos <- 1;
       src.avail <- n;
+      src.offset <- src.offset + 1;
       Bytes.get_uint8 src.chunk 0
     end
   end
@@ -102,62 +123,113 @@ let next_line src =
       Buffer.add_char b (Char.chr c);
       go ()
   in
-  go ()
+  let l = go () in
+  if l <> None then src.line <- src.line + 1;
+  l
 
-(* Non-blank line, trimmed (tolerates \r\n and stray blank lines). *)
-let rec next_token_line src what =
-  match next_line src with
-  | None -> Printf.ksprintf failwith "%s: truncated file" what
-  | Some l ->
-    let l = String.trim l in
-    if l = "" then next_token_line src what else l
-
-let read_ascii src =
-  let header = next_token_line src "Aiger.read" in
-  let maxvar, ninputs, nlatches, noutputs, nands =
-    match String.split_on_char ' ' header with
-    | [ "aag"; m; i; l; o; a ] ->
-      (int_of_string m, int_of_string i, int_of_string l, int_of_string o, int_of_string a)
-    | _ -> failwith "Aiger.read: bad header"
+(* One reader for both formats. The ASCII and binary layouts differ
+   only in how inputs are declared (explicit literals vs. implicit
+   variables 1..I) and how ANDs are encoded (text lines vs. delta
+   varints); header, outputs and literal resolution are shared. *)
+let read_source src =
+  let fail_at at fmt =
+    Printf.ksprintf (fun msg -> raise (Parse_error { at; msg })) fmt
   in
-  if nlatches <> 0 then failwith "Aiger.read: latches unsupported";
-  let aig = Aig.create ~expected:(maxvar + 2) () in
-  (* map from aiger variable to our literal *)
-  let map = Array.make (maxvar + 1) (-1) in
-  map.(0) <- Aig.const0;
-  let lit_in l =
-    let v = l / 2 in
-    if v > maxvar || map.(v) < 0 then failwith "Aiger.read: undefined literal";
-    map.(v) lxor (l land 1)
+  let fail fmt = fail_at (Line src.line) fmt in
+  (* Non-blank line, trimmed (tolerates \r\n and stray blank lines). *)
+  let rec line () =
+    match next_line src with
+    | None -> fail "unexpected end of file"
+    | Some l ->
+      let l = String.trim l in
+      if l = "" then line () else l
   in
-  for _ = 1 to ninputs do
-    let l = int_of_string (next_token_line src "Aiger.read") in
-    if l mod 2 <> 0 then failwith "Aiger.read: complemented input";
-    map.(l / 2) <- Aig.add_input aig
+  (* The upper bound keeps header arithmetic far from overflow. *)
+  let nat s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 && n < 1 lsl 40 -> n
+    | _ -> fail "expected an integer in [0, 2^40), got %S" s
+  in
+  let binary, maxvar, ninputs, noutputs, nands =
+    match String.split_on_char ' ' (line ()) with
+    | [ (("aag" | "aig") as magic); m; i; l; o; a ] ->
+      let maxvar = nat m and ninputs = nat i and nands = nat a in
+      if nat l <> 0 then fail "latches unsupported";
+      if ninputs + nands > maxvar then fail "header: M is less than I + L + A";
+      (magic = "aig", maxvar, ninputs, nat o, nands)
+    | _ -> fail "bad header (expected \"aag M I L O A\" or \"aig M I L O A\")"
+  in
+  (* Preallocation and the variable -> literal map are capped and grow
+     as variables are defined, so a header that overstates its counts
+     cannot force a huge allocation before the file runs out. *)
+  let aig = Aig.create ~expected:(min (ninputs + nands + 2) 65536) () in
+  let map = ref (Array.make (min (maxvar + 1) 65536) (-1)) in
+  !map.(0) <- Aig.const0;
+  let lookup v = if v < Array.length !map then !map.(v) else -1 in
+  let define ~at v lit =
+    if v = 0 || v > maxvar then fail_at at "variable %d outside 1..%d" v maxvar;
+    if lookup v >= 0 then fail_at at "variable %d defined twice" v;
+    if v >= Array.length !map then
+      map := Array.append !map (Array.make (min maxvar (2 * v) + 1 - Array.length !map) (-1));
+    !map.(v) <- lit
+  in
+  let lit_in ~at l =
+    let base = lookup (l / 2) in
+    if base < 0 then fail_at at "undefined literal %d" l;
+    base lxor (l land 1)
+  in
+  for i = 1 to ninputs do
+    if binary then define ~at:(Line src.line) i (Aig.add_input aig)
+    else begin
+      let l = nat (line ()) in
+      if l land 1 <> 0 then fail "complemented input %d" l;
+      define ~at:(Line src.line) (l / 2) (Aig.add_input aig)
+    end
   done;
   (* Output literals may reference AND variables defined below them;
-     hold the raw literals until the AND section has streamed past. *)
-  let out_lits =
+     hold the raw literals (and where they were) until the AND section
+     has streamed past. *)
+  let outs =
     Array.init noutputs (fun _ ->
-        int_of_string (next_token_line src "Aiger.read"))
+        let l = nat (line ()) in
+        (l, Line src.line))
   in
-  (* The format requires lhs > rhs, so processing AND definitions in
-     file order resolves every fanin. *)
-  for _ = 1 to nands do
-    let line = next_token_line src "Aiger.read" in
-    match String.split_on_char ' ' line with
-    | [ lhs; rhs0; rhs1 ] ->
-      let lhs = int_of_string lhs in
-      if lhs mod 2 <> 0 then failwith "Aiger.read: complemented AND lhs";
-      let f0 = lit_in (int_of_string rhs0) in
-      let f1 = lit_in (int_of_string rhs1) in
-      map.(lhs / 2) <- Aig.band aig f0 f1
-    | _ -> failwith "Aiger.read: bad AND line"
+  let rec varint at shift acc =
+    let byte = next_byte src in
+    if byte < 0 then fail_at (Byte src.offset) "unexpected end of file";
+    if shift > 56 then fail_at at "varint too long";
+    let acc = acc lor ((byte land 0x7f) lsl shift) in
+    if byte < 0x80 then acc else varint at (shift + 7) acc
+  in
+  for k = 0 to nands - 1 do
+    if binary then begin
+      (* Binary AND k defines variable I + 1 + k from the two deltas
+         (lhs - rhs0) and (rhs0 - rhs1). *)
+      let at = Byte src.offset in
+      let lhs = 2 * (ninputs + 1 + k) in
+      let r0 = lhs - varint at 0 0 in
+      let r1 = r0 - varint at 0 0 in
+      if r0 < 0 || r1 < 0 then fail_at at "AND deltas below literal 0";
+      define ~at (lhs / 2) (Aig.band aig (lit_in ~at r0) (lit_in ~at r1))
+    end
+    else
+      (* The format requires lhs > rhs, so processing AND definitions
+         in file order resolves every fanin. *)
+      match String.split_on_char ' ' (line ()) with
+      | [ lhs; rhs0; rhs1 ] ->
+        let at = Line src.line in
+        let lhs = nat lhs in
+        if lhs land 1 <> 0 then fail "complemented AND lhs %d" lhs;
+        let f0 = lit_in ~at (nat rhs0) in
+        let f1 = lit_in ~at (nat rhs1) in
+        define ~at (lhs / 2) (Aig.band aig f0 f1)
+      | _ -> fail "bad AND line (expected \"lhs rhs0 rhs1\")"
   done;
-  Array.iter (fun l -> ignore (Aig.add_output aig (lit_in l))) out_lits;
+  Array.iter (fun (l, at) -> ignore (Aig.add_output aig (lit_in ~at l))) outs;
   aig
 
-let read s = read_ascii (source_of_string s)
+let read s = read_source (source_of_string s)
+let read_binary = read
 
 (* Binary AIGER: the AND section stores, for each AND in variable
    order, the two differences (lhs - rhs0) and (rhs0 - rhs1) as
@@ -214,72 +286,12 @@ let write_binary aig =
     order;
   Buffer.contents buf
 
-let read_binary_source src =
-  let line () =
-    match next_line src with
-    | None -> failwith "Aiger.read_binary: truncated file"
-    | Some l -> l
-  in
-  let header = line () in
-  let maxvar, ninputs, nlatches, noutputs, nands =
-    match String.split_on_char ' ' (String.trim header) with
-    | [ "aig"; m; i; l; o; a ] ->
-      (int_of_string m, int_of_string i, int_of_string l, int_of_string o, int_of_string a)
-    | _ -> failwith "Aiger.read_binary: bad header"
-  in
-  if nlatches <> 0 then failwith "Aiger.read_binary: latches unsupported";
-  let out_lits = Array.init noutputs (fun _ -> int_of_string (String.trim (line ()))) in
-  let read_varint () =
-    let x = ref 0 in
-    let shift = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let byte = next_byte src in
-      if byte < 0 then failwith "Aiger.read_binary: truncated varint";
-      x := !x lor ((byte land 0x7f) lsl !shift);
-      shift := !shift + 7;
-      if byte < 0x80 then continue_ := false
-    done;
-    !x
-  in
-  let aig = Aig.create ~expected:(maxvar + 2) () in
-  let map = Array.make (maxvar + 1) (-1) in
-  map.(0) <- Aig.const0;
-  for i = 1 to ninputs do
-    map.(i) <- Aig.add_input aig
-  done;
-  let lit_in l =
-    let v = l / 2 in
-    if v > maxvar || map.(v) < 0 then failwith "Aiger.read_binary: undefined literal";
-    map.(v) lxor (l land 1)
-  in
-  for i = 0 to nands - 1 do
-    let lhs = 2 * (ninputs + 1 + i) in
-    let d0 = read_varint () in
-    let d1 = read_varint () in
-    let r0 = lhs - d0 in
-    let r1 = r0 - d1 in
-    if r0 < 0 || r1 < 0 then failwith "Aiger.read_binary: bad deltas";
-    map.(lhs / 2) <- Aig.band aig (lit_in r0) (lit_in r1)
-  done;
-  Array.iter (fun l -> ignore (Aig.add_output aig (lit_in l))) out_lits;
-  aig
-
-let read_binary s = read_binary_source (source_of_string s)
-
 (* Streamed: the file is parsed through a chunked source, never
    slurped into one string — peak reader memory during load is one
-   64 KiB chunk regardless of file size. Format detection peeks the
-   first bytes of the first chunk. *)
+   64 KiB chunk regardless of file size. The header's magic word picks
+   the format. *)
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let src = source_of_channel ic in
-      src.avail <- src.refill src.chunk;
-      if src.avail = 0 then src.avail <- -1;
-      let binary =
-        src.avail >= 4 && Bytes.sub_string src.chunk 0 4 = "aig "
-      in
-      if binary then read_binary_source src else read_ascii src)
+    (fun () -> read_source (source_of_channel ic))

@@ -84,7 +84,7 @@ let hit_pct hits misses =
    collapse under real traffic — the canonical sign of a partition
    whose BDDs blew past locality — also lands in the flight
    recorder. *)
-let flush_stats ?(engine = "bdd") t obs =
+let flush_stats ~engine t obs =
   let bs = Bdd.stats t.man in
   let upct = hit_pct bs.Bdd.unique_hits bs.Bdd.unique_misses in
   let cpct = hit_pct bs.Bdd.cache_hits bs.Bdd.cache_misses in
@@ -115,6 +115,15 @@ let flush_stats ?(engine = "bdd") t obs =
         [ ("cache_hit_pct", cpct); ("unique_hit_pct", upct);
           ("bdd_nodes", bs.Bdd.nodes) ]
       "computed-cache hit-rate collapse"
+
+(* The context may belong to a worker's snapshot; the merge boundary
+   is published against the live AIG. *)
+let finish_partition ~engine t obs ~live ~index metrics =
+  flush_stats ~engine t obs;
+  Obs.Boundary.merge ~engine ~partition:index
+    ~structure:(fun () -> Aig.fold_hash live)
+    ~bails:t.bails
+    (("members", Array.length t.order) :: ("bails", t.bails) :: metrics)
 let aig t = t.aig
 let members t = t.order
 let leaves t = t.leaves

@@ -66,13 +66,24 @@ val limit_bails : t -> int
     event. *)
 val bump_limit_bail : t -> unit
 
-(** [flush_stats ?engine t obs] flushes the manager's unique-table and
+(** [finish_partition ~engine t obs ~live ~index metrics] closes
+    partition [index] on the main domain, whether its analysis was
+    merged or redone. It flushes the manager's unique-table and
     computed-cache traffic into [obs] — raw hit/miss counts, the
     derived integer hit ratios ([bdd.unique_hit_pct],
     [bdd.cache_hit_pct]; 100 under zero traffic) and
     [bdd.limit_bails] — and reports a cache hit-rate collapse
-    (< 20 % over ≥ 10k lookups) to the flight recorder. Engines call
-    it once per partition; the ratio counters therefore total to a sum
-    over partitions in the trace. [engine] labels the recorder event
-    (default ["bdd"]). *)
-val flush_stats : ?engine:string -> t -> Sbm_obs.span -> unit
+    (< 20 % over ≥ 10k lookups) to the flight recorder; the ratio
+    counters therefore total to a sum over partitions in the trace.
+    Then it publishes the merge boundary ([Sbm_obs.Boundary.merge])
+    with the structure hash of the [live] AIG, the bail count, and
+    [members], [bails] and the engine's [metrics] on the recorder
+    event. *)
+val finish_partition :
+  engine:string ->
+  t ->
+  Sbm_obs.span ->
+  live:Sbm_aig.Aig.t ->
+  index:int ->
+  (string * int) list ->
+  unit

@@ -1,7 +1,6 @@
 module Aig = Sbm_aig.Aig
 module Bdd = Sbm_bdd.Bdd
 module Partition = Sbm_partition.Partition
-module FR = Sbm_obs.Flight_recorder
 module M = Sbm_obs.Metrics
 
 let m_partitions =
@@ -34,8 +33,6 @@ type config = {
   monolithic : bool;
   overlap : float;
   prefilter : Prefilter.bank option;
-  jobs : int option;
-  watchdog_poll : bool;
   objective : [ `Size | `Depth ];
 }
 
@@ -49,8 +46,6 @@ let default_config =
     monolithic = false;
     overlap = 0.0;
     prefilter = None;
-    jobs = None;
-    watchdog_poll = true;
     objective = `Size;
   }
 
@@ -225,8 +220,8 @@ let pair_verdict pf ~saving ~xor_cost f g =
 
 (* Analysis/commit loop of one partition. Mutates [aig] (candidate
    cones, commits, traversal marks): parallel workers call this on a
-   private snapshot, the sequential path on the live AIG. Returns the
-   partition's BDD context so the caller can flush its stats. *)
+   private snapshot, [redo] on the live AIG. Returns the partition's
+   BDD context so the caller can flush its stats. *)
 let run_partition_analysis aig config counters store part total =
   let ctx = Bdd_bridge.build ~node_limit:config.bdd_node_limit aig part in
   let members = Bdd_bridge.members ctx in
@@ -321,38 +316,6 @@ let run_partition_analysis aig config counters store part total =
     members;
   ctx
 
-(* Main-domain bookkeeping for a finished partition: flush the BDD
-   stats into the span, feed the watchdog, record the flight-recorder
-   summary, and append the merge-boundary fingerprint (the audit
-   trail's merge records must come from the main domain in ascending
-   partition index — exactly this function's contract). Shared by the
-   sequential path and the parallel merge path (which runs it against
-   a worker's context but the live [aig]). *)
-let finish_partition aig ctx obs ~index ~rewrites_delta ~pf_rejected =
-  Bdd_bridge.flush_stats ~engine:"diff" ctx obs;
-  let bails = Bdd_bridge.limit_bails ctx in
-  Sbm_obs.Watchdog.note_partition ~engine:"diff" ~bails;
-  if FR.enabled () then
-    FR.record
-      ~severity:(if bails > 0 then FR.Warn else FR.Debug)
-      ~engine:"diff"
-      ~id:(Printf.sprintf "partition-%d" index)
-      ~metrics:
-        [ ("members", Array.length (Bdd_bridge.members ctx)); ("bails", bails);
-          ("rewrites", rewrites_delta); ("pf_rejected", pf_rejected) ]
-      "partition done";
-  if Sbm_obs.Fingerprint.enabled () then
-    Sbm_obs.Fingerprint.record_merge ~engine:"diff" ~partition:index
-      ~structure:(Aig.fold_hash aig)
-
-let run_partition aig config counters obs store part index total =
-  let rewrites0 = counters.c_rewrites in
-  let rejected0 = Prefilter.rejected counters.pf in
-  let ctx = run_partition_analysis aig config counters store part total in
-  finish_partition aig ctx obs ~index
-    ~rewrites_delta:(counters.c_rewrites - rewrites0)
-    ~pf_rejected:(Prefilter.rejected counters.pf - rejected0)
-
 let optimize_stats ?(obs = Sbm_obs.null) ?(config = default_config) aig =
   (* Difference implementations built from here on are this engine's
      nodes — unless a flow script already set a finer-grained tag. *)
@@ -367,80 +330,38 @@ let optimize_stats ?(obs = Sbm_obs.null) ?(config = default_config) aig =
     else Partition.compute aig config.limits
   in
   let store = Option.map (fun bank -> Prefilter.attach bank aig) config.prefilter in
-  let skipped = ref 0 in
-  let poll () = if config.watchdog_poll then Sbm_obs.Watchdog.poll () in
-  let jobs =
-    match config.jobs with Some j -> max 1 j | None -> Sbm_par.Jobs.get ()
-  in
-  if jobs <= 1 || List.length parts <= 1 then
-    (* Sequential path: byte-for-byte the historical behaviour. *)
-    List.iteri
-      (fun i part ->
-        poll ();
-        if Sbm_obs.Watchdog.abort_requested () then incr skipped
-        else run_partition aig config counters obs store part i total)
-      parts
-  else begin
-    (* Parallel path: workers analyze partitions on private AIG
-       snapshots; results are applied in ascending index. A clean
-       (zero-rewrite, not-stale) analysis is merged verbatim —
-       counters, prefilter tallies, BDD stats, flight-recorder events
-       and speculative origin-created counts, exactly what the
-       sequential run would have produced; anything else is redone
-       sequentially on the live AIG. *)
-    let analyze _i part =
-      if Sbm_obs.Watchdog.abort_requested () then None
-      else begin
-        let snap = Aig.copy aig in
-        let wstore = Option.map (fun st -> Prefilter.fork st snap) store in
+  (* A worker analysis is clean when it rewrote nothing: its counts,
+     prefilter tallies, BDD stats and speculative origin counts are
+     then exactly what the live run would have produced. *)
+  let analyze _ part =
+    Par_merge.on_snapshot aig (fun snap ->
         let wc = zero_counters () in
-        let wtotal = ref 0 in
-        let before = Aig.origin_stats snap in
-        (* Metrics.capture mirrors FR.capture: any registry bump a
-           worker makes lands in a domain-local shard, replayed on the
-           main domain only when this analysis merges cleanly. *)
-        let (ctx, events), mdeltas =
-          M.capture (fun () ->
-              FR.capture (fun () ->
-                  run_partition_analysis snap config wc wstore part wtotal))
-        in
-        Some
-          ( wc, ctx, events, mdeltas,
-            Par_merge.created_delta ~before ~after:(Aig.origin_stats snap) )
-      end
-    in
-    let apply index part result ~dirty =
-      poll ();
-      if Sbm_obs.Watchdog.abort_requested () then begin
-        incr skipped;
-        false
-      end
-      else
-        match result with
-        | Some (wc, ctx, events, mdeltas, created)
-          when (not dirty) && wc.c_rewrites = 0 ->
-          counters.c_pairs <- counters.c_pairs + wc.c_pairs;
-          counters.c_diffs <- counters.c_diffs + wc.c_diffs;
-          Par_merge.merge_prefilter counters.pf wc.pf;
-          Par_merge.merge_created aig created;
-          Par_merge.merge_metrics mdeltas;
-          FR.replay events;
-          finish_partition aig ctx obs ~index ~rewrites_delta:0
-            ~pf_rejected:(Prefilter.rejected wc.pf);
-          false
-        | Some _ | None ->
-          let r0 = counters.c_rewrites in
-          run_partition aig config counters obs store part index total;
-          counters.c_rewrites > r0
-    in
-    let go pool =
-      Sbm_par.Sched.run_ordered pool (Array.of_list parts) ~analyze ~apply
-    in
-    if jobs = Sbm_par.Jobs.get () then go (Sbm_par.Pool.global ())
-    else Sbm_par.Pool.with_pool ~jobs go
-  end;
-  if !skipped > 0 then
-    Sbm_obs.bump obs Engine_intf.m_partitions_skipped !skipped;
+        let wstore = Option.map (fun st -> Prefilter.fork st snap) store in
+        (wc, run_partition_analysis snap config wc wstore part (ref 0)))
+  in
+  let merge index _ ((wc, ctx), created) =
+    counters.c_pairs <- counters.c_pairs + wc.c_pairs;
+    counters.c_diffs <- counters.c_diffs + wc.c_diffs;
+    Par_merge.merge_prefilter counters.pf wc.pf;
+    Par_merge.merge_created aig created;
+    Bdd_bridge.finish_partition ~engine:"diff" ctx obs ~live:aig ~index
+      [ ("rewrites", 0); ("pf_rejected", Prefilter.rejected wc.pf) ]
+  in
+  let redo index part =
+    let rewrites0 = counters.c_rewrites in
+    let rejected0 = Prefilter.rejected counters.pf in
+    let ctx = run_partition_analysis aig config counters store part total in
+    Bdd_bridge.finish_partition ~engine:"diff" ctx obs ~live:aig ~index
+      [ ("rewrites", counters.c_rewrites - rewrites0);
+        ("pf_rejected", Prefilter.rejected counters.pf - rejected0) ];
+    counters.c_rewrites > rewrites0
+  in
+  let skipped =
+    Par_merge.run parts ~analyze
+      ~clean:(fun ((wc, _), _) -> wc.c_rewrites = 0)
+      ~merge ~redo
+  in
+  if skipped > 0 then Sbm_obs.bump obs Engine_intf.m_partitions_skipped skipped;
   Sbm_obs.bump obs m_partitions (List.length parts);
   Sbm_obs.bump obs m_pairs_tried counters.c_pairs;
   Sbm_obs.bump obs m_differences_built counters.c_diffs;
@@ -478,8 +399,6 @@ module Engine = struct
           ~default:default_config.bdd_node_limit;
       accept_zero = c.Engine_intf.effort = Engine_intf.High;
       prefilter = c.Engine_intf.prefilter;
-      jobs = c.Engine_intf.jobs;
-      watchdog_poll = c.Engine_intf.watchdog_poll;
     }
 
   let stats_of (s : stats) =

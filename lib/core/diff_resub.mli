@@ -24,8 +24,6 @@ type config = {
           pair is only skipped when the difference computation
           provably returns nothing for it — QoR is bit-identical with
           the filter on or off (see {!Prefilter}) *)
-  jobs : int option;  (** worker domains; [None] = global [Jobs.get ()] *)
-  watchdog_poll : bool;  (** poll the watchdog at partition boundaries *)
   objective : [ `Size | `Depth ];
       (** [`Size] is the paper's focus; [`Depth] implements the
           sketched extension ("depth reducing techniques could be

@@ -120,85 +120,64 @@ let check_injected_failure name =
            name n)
   | None -> ()
 
-module FR = Obs.Flight_recorder
-
-(* Wrap one scripted pass in a span recording wall time and the
-   size/depth delta. Measurement (Aig.depth is O(n)) only happens when
-   the span is live; with observability off this is a direct call.
-   Every node the pass builds is stamped with the pass's origin. The
-   watchdog tracks the pass for its deadline rule, and the flight
-   recorder gets a boundary event on each side. A pass that raises
-   stays on the watchdog/recorder stacks — exactly what the
-   post-mortem dump should show. *)
+(* Wrap one scripted pass in a span and a pass boundary. Size and
+   depth (Aig.depth is O(n)) are measured only when a span or a
+   boundary subscriber is live; otherwise this is a direct call plus
+   the arena compaction. Every node the pass builds is stamped with
+   the pass's origin. A pass that raises is closed unpublished; its
+   span stays open for the post-mortem dump. *)
 let pass obs name f aig =
   Aig.set_origin aig (origin_of_pass name);
-  Obs.Watchdog.pass_started name;
-  let ledger = Obs.Ledger.enabled () in
-  let fp = Obs.Fingerprint.enabled () in
-  Obs.Fingerprint.pass_started name;
-  if (not (Obs.enabled obs)) && not ledger && not fp then begin
-    check_injected_failure name;
-    let aig = f Obs.null aig in
-    Aig.compact_arenas aig;
-    Obs.Watchdog.pass_ended name;
-    aig
-  end
-  else begin
-    let size0 = Aig.size aig in
-    let depth0 = Aig.depth aig in
-    (* Live node-count gauge: only set where size is already computed
-       (Aig.size is an O(live-nodes) traversal, not a field read). *)
-    M.set M.live_aig_nodes size0;
-    let t0 = Obs.monotonic_ns () in
-    let sp = Obs.span ~size:size0 ~depth:depth0 obs name in
-    if FR.enabled () then
-      FR.record ~severity:FR.Info ~engine:"flow" ~id:name
-        ~metrics:[ ("size", size0) ]
-        "pass start";
-    Obs.Ledger.pass_started name;
-    check_injected_failure name;
-    let aig = f sp aig in
-    let size1 = Aig.size aig in
-    let depth1 = Aig.depth aig in
-    Obs.close ~size:size1 ~depth:depth1 sp;
-    M.set M.live_aig_nodes size1;
-    M.observe m_pass_ms
-      (Int64.to_int (Int64.div (Int64.sub (Obs.monotonic_ns ()) t0) 1_000_000L));
-    let dead = dead_node_pct aig in
-    M.set m_dead_node_pct dead;
-    (* Arena occupancy is sampled before the boundary compaction, so
-       the gauge shows how much slack the pass itself produced. *)
-    let acap = Aig.arena_capacity_words aig in
-    M.set m_arena_capacity acap;
-    M.set m_arena_live_pct
-      (if acap = 0 then 100 else 100 * Aig.arena_live_words aig / acap);
-    Aig.compact_arenas aig;
-    M.set_max M.peak_heap_words (Gc.quick_stat ()).Gc.heap_words;
-    (* Trail record first, so the chain value can ride on the ledger
-       row; the ledger's own counter delta then includes the trail's
-       record counter — consistently at any --jobs, hence still
-       deterministic. *)
-    let fingerprint =
-      if fp then Obs.Fingerprint.pass_ended ~structure:(Aig.fold_hash aig)
-      else 0L
-    in
-    if ledger then begin
-      let luts, levels =
-        match !ledger_qor_probe with
-        | Some probe -> probe aig
-        | None -> (-1, -1)
-      in
-      Obs.Ledger.pass_ended ~fingerprint ~size_before:size0 ~size_after:size1
-        ~depth_before:depth0 ~depth_after:depth1 ~luts ~levels
-        ~dead_node_pct:dead ()
-    end;
-    if FR.enabled () then
-      FR.record ~severity:FR.Info ~engine:"flow" ~id:name
-        ~metrics:[ ("size", size1); ("gain", size0 - size1) ]
-        "pass end";
-    Obs.Watchdog.pass_ended name;
-    aig
-  end
+  let measured = Obs.enabled obs || Obs.Boundary.live () in
+  let size0, depth0 = if measured then (Aig.size aig, Aig.depth aig) else (-1, -1) in
+  (* Live node-count gauge: only set where size is already computed
+     (Aig.size is an O(live-nodes) traversal, not a field read). *)
+  if measured then M.set M.live_aig_nodes size0;
+  let t0 = Obs.monotonic_ns () in
+  let sp = Obs.span ~size:size0 ~depth:depth0 obs name in
+  Obs.Boundary.start ~size:size0 ~depth:depth0 name;
+  let aig =
+    try
+      check_injected_failure name;
+      f sp aig
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Obs.Boundary.finish ();
+      Printexc.raise_with_backtrace e bt
+  in
+  let measure =
+    if not measured then None
+    else begin
+      let size1 = Aig.size aig in
+      let depth1 = Aig.depth aig in
+      Obs.close ~size:size1 ~depth:depth1 sp;
+      M.set M.live_aig_nodes size1;
+      M.observe m_pass_ms
+        (Int64.to_int (Int64.div (Int64.sub (Obs.monotonic_ns ()) t0) 1_000_000L));
+      let dead = dead_node_pct aig in
+      M.set m_dead_node_pct dead;
+      (* Arena occupancy is sampled before the boundary compaction, so
+         the gauge shows how much slack the pass itself produced. *)
+      let acap = Aig.arena_capacity_words aig in
+      M.set m_arena_capacity acap;
+      M.set m_arena_live_pct
+        (if acap = 0 then 100 else 100 * Aig.arena_live_words aig / acap);
+      Some
+        {
+          Obs.Boundary.size = size1;
+          depth = depth1;
+          dead_node_pct = dead;
+          structure = (fun () -> Aig.fold_hash aig);
+          lut_qor =
+            (fun () ->
+              match !ledger_qor_probe with Some probe -> probe aig | None -> (-1, -1));
+        }
+    end
+  in
+  Aig.compact_arenas aig;
+  if measured then M.set_max M.peak_heap_words (Gc.quick_stat ()).Gc.heap_words;
+  Obs.Boundary.finish ?measure ();
+  aig
 
 (* Like [pass], but skips the O(n) depth measurement — used for the
    fine-grained steps inside [baseline]. *)

@@ -318,7 +318,7 @@ let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
             ("size", Aig.size !aig) ]
         "round done";
     Obs.Watchdog.note_round ~gain:round_gain;
-    Obs.Watchdog.poll ();
+    Obs.Boundary.poll ();
     if Obs.Watchdog.abort_requested () then begin
       (* Graceful wind-down: the remaining budget is marked exhausted,
          so the run's accounting shows where the watchdog cut it. *)

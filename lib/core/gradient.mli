@@ -23,8 +23,8 @@ type config = {
           current tier and applies the best. *)
   zero_gain_moves : bool; (** allow network-reshaping zero-gain moves *)
   engine : Engine_intf.config;
-      (** shared engine config (prefilter bank, jobs override,
-          watchdog discipline) inherited by every Boolean-engine move;
+      (** shared engine config (prefilter bank, BDD budget, effort)
+          inherited by every Boolean-engine move;
           the per-move partition sizes stay with the move table *)
 }
 

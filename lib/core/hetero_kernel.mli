@@ -18,8 +18,6 @@ type config = {
           per-candidate test to shadow; with a bank the engine instead
           reports a QoR-neutral signature census (potential functional
           duplicates as survivors) under the [prefilter.*] counters *)
-  jobs : int option;  (** worker domains; [None] = global [Jobs.get ()] *)
-  watchdog_poll : bool;  (** poll the watchdog at partition boundaries *)
 }
 
 val default_config : config

@@ -39,13 +39,7 @@ let refinements bank = bank.refinement_count
    the random-pattern stream identity, which together with the digest
    determines every signature the filter computes. *)
 
-let fh_finalize z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let fh_mix2 a b = fh_finalize (Int64.add (Int64.mul a 0x9E3779B97F4A7C15L) b)
+let fh_mix2 = Sbm_util.Hash64.mix2
 
 let bank_digest bank =
   let acc = fh_mix2 (Int64.of_int bank.sim_words) (Int64.of_int bank.max_cex) in

@@ -18,10 +18,10 @@
    everything up to and including i.
 
    Determinism contract: every component is bit-identical at any
-   --jobs. Records are only ever appended on the main domain — pass
-   boundaries run there by construction, and merge boundaries
-   ([finish_partition] in the engines) run there in ascending
-   partition index in both the sequential and the parallel path.
+   --jobs. Records are only ever appended on the main domain, through
+   [Boundary] — pass boundaries run there by construction, and merge
+   boundaries run there in ascending partition index under
+   [Par_merge.run] at any job count.
    Counter deltas are taken against the [enable]-time snapshot, so
    trails from two runs in the same process compare cleanly.
 
@@ -48,26 +48,10 @@ type record = {
   counters : (string * int) list; (* full delta vector (pass records) *)
 }
 
-(* SplitMix64 finalizer / golden-ratio sequence mix — the same
-   construction as Aig.fold_hash, duplicated here because lib/obs
-   sits below lib/aig in the dependency order. *)
-let h64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let mix2 a b = h64 (Int64.add (Int64.mul a 0x9E3779B97F4A7C15L) b)
-
-(* FNV-1a 64-bit over a string. *)
-let hash_string s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h
+(* The same mixing primitives as Aig.fold_hash. *)
+let h64 = Sbm_util.Hash64.finalize
+let mix2 = Sbm_util.Hash64.mix2
+let hash_string = Sbm_util.Hash64.string
 
 let chain_init = h64 0x5bd1e9955bd1e995L
 
@@ -81,7 +65,6 @@ type state = {
   mutable records : record list; (* newest first *)
   mutable seq : int;
   mutable chain : int64;
-  mutable stack : string list; (* open pass names, innermost first *)
   mutable baseline : (string * int) list; (* counters at enable *)
   mutable out : out_channel option; (* streaming sink *)
   mutable bank_source : (unit -> int64 * int64) option;
@@ -93,7 +76,6 @@ let state =
     records = [];
     seq = 0;
     chain = chain_init;
-    stack = [];
     baseline = [];
     out = None;
     bank_source = None;
@@ -144,19 +126,7 @@ let inject_mask = h64 0xbadc0ffee0ddf00dL
 
 (* --- record assembly --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Sbm_util.Json_escape.string
 
 let record_to_json (r : record) =
   let b = Buffer.create 256 in
@@ -218,7 +188,6 @@ let reset () =
   state.records <- [];
   state.seq <- 0;
   state.chain <- chain_init;
-  state.stack <- [];
   state.baseline <- []
 
 let close_out () =
@@ -245,42 +214,23 @@ let disable () =
 
 let set_bank_source f = state.bank_source <- f
 
-(* --- boundaries --- *)
+(* --- boundaries (appended by [Boundary], which owns the pass stack) --- *)
 
-let pass_started name =
-  if state.enabled then state.stack <- name :: state.stack
-
-let path_of_stack stack =
-  match stack with
-  | [] -> "?"
-  | f :: rest -> List.fold_left (fun acc g -> g ^ "/" ^ acc) f rest
-
-let pass_ended ~structure =
+let record_pass ~label ~structure =
   if not state.enabled then 0L
-  else begin
-    match state.stack with
-    | [] -> 0L (* unbalanced end: drop rather than corrupt the trail *)
-    | _ :: rest ->
-      let label = path_of_stack state.stack in
-      state.stack <- rest;
-      let r = emit Pass label structure (counters_since_enable ()) in
-      r.chain
-  end
+  else (emit Pass label structure (counters_since_enable ())).chain
 
-let record_merge ~engine ~partition ~structure =
+let record_merge ~pass ~engine ~partition ~structure =
   if state.enabled then begin
-    let inner = match state.stack with [] -> engine | n :: _ -> n in
+    let inner = match pass with None -> engine | Some (name, _) -> name in
     let structure =
       match injection () with
-      | Some (pass, n)
-        when n = partition && (pass = inner || pass = engine) ->
+      | Some (p, n) when n = partition && (p = inner || p = engine) ->
         Metrics.incr m_injected;
         Int64.logxor structure inject_mask
       | _ -> structure
     in
-    let prefix =
-      match state.stack with [] -> "" | s -> path_of_stack s ^ "/"
-    in
+    let prefix = match pass with None -> "" | Some (_, path) -> path ^ "/" in
     let label = Printf.sprintf "%s%s-partition-%d" prefix engine partition in
     ignore (emit Merge label structure (counters_since_enable ()))
   end

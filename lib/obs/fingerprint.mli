@@ -1,19 +1,18 @@
 (** Determinism audit trail: streaming state fingerprints.
 
-    While enabled, [Flow] and the partitioned engines report every
-    pass boundary and every partition merge boundary here; the trail
-    accumulates one {!record} per boundary, each a composite 64-bit
-    fingerprint of (structure, counter deltas, prefilter bank, seeds)
-    plus a running chain value that commits to the whole prefix.
+    While enabled, {!Boundary} reports every pass boundary and every
+    partition merge boundary here; the trail accumulates one {!record}
+    per boundary, each a composite 64-bit fingerprint of (structure,
+    counter deltas, prefilter bank, seeds) plus a running chain value
+    that commits to the whole prefix.
     `sbm audit` aligns two trails and names the first diverging
     boundary (DESIGN.md §15).
 
     Every component is bit-identical at any [--jobs]: records are
     appended on the main domain only, and merge boundaries run in
-    ascending partition index in both the sequential and the parallel
-    scheduler path. Counter digests are taken over deltas since
-    {!enable}, so trails from two runs in the same process compare
-    cleanly.
+    ascending partition index at any job count. Counter digests are
+    taken over deltas since {!enable}, so trails from two runs in the
+    same process compare cleanly.
 
     The trail is process-global, like the ledger and the metrics
     registry. This library sits below [lib/aig], so structural hashes
@@ -51,29 +50,28 @@ val disable : unit -> unit
 
 val enabled : unit -> bool
 
-val reset : unit -> unit
-(** Clear records and open passes; keeps the enabled flag and sink. *)
-
 val set_bank_source : (unit -> int64 * int64) option -> unit
 (** Install the provider of the (bank digest, seeds) components —
     [Flow] points this at the live prefilter bank; [None] (the
     default) records [0L] for both. *)
 
-val pass_started : string -> unit
-(** Open a pass frame (mirrors [Ledger.pass_started]). No-op while
-    disabled. *)
+val record_pass : label:string -> structure:int64 -> int64
+(** Append a [Pass] record for the pass at path [label]; [structure]
+    is the caller-computed structural hash at the boundary. Returns
+    the record's chain value (embedded into the matching ledger row),
+    or [0L] while disabled. Called by [Boundary.finish]. *)
 
-val pass_ended : structure:int64 -> int64
-(** Close the innermost frame into a [Pass] record; [structure] is the
-    caller-computed structural hash at the boundary. Returns the
-    record's chain value (embedded into the matching ledger row), or
-    [0L] while disabled. *)
-
-val record_merge : engine:string -> partition:int -> structure:int64 -> unit
-(** Append a [Merge] record for one partition boundary. Applies the
-    [SBM_NONDET_INJECT] perturbation when the boundary matches. Must
-    only be called from the main domain in ascending partition
-    index — the engines' [finish_partition] discipline. *)
+val record_merge :
+  pass:(string * string) option ->
+  engine:string ->
+  partition:int ->
+  structure:int64 ->
+  unit
+(** Append a [Merge] record for one partition boundary of the
+    innermost open pass [pass] = [Some (name, path)]. Applies the
+    [SBM_NONDET_INJECT] perturbation when the boundary matches. Called
+    by [Boundary.merge], on the main domain in ascending partition
+    index. No-op while disabled. *)
 
 val inject : (string * int) option ref
 (** Test hook mirroring [SBM_NONDET_INJECT=pass:N]: when set to

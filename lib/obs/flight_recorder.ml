@@ -1,6 +1,3 @@
-(* The external is also declared in sbm_obs.ml; duplicate external
-   declarations of the same C symbol are fine and avoid a dependency
-   cycle (Sbm_obs aliases this module). *)
 external monotonic_ns : unit -> (int64[@unboxed])
   = "sbm_obs_monotonic_ns_byte" "sbm_obs_monotonic_ns"
 [@@noalloc]

@@ -21,6 +21,12 @@
     and merged on the main domain in an order the scheduler cannot
     perturb. *)
 
+external monotonic_ns : unit -> (int64[@unboxed])
+  = "sbm_obs_monotonic_ns_byte" "sbm_obs_monotonic_ns"
+[@@noalloc]
+(** The raw monotonic clock, in nanoseconds from an arbitrary origin
+    (the one clock every [Sbm_obs] module reads). *)
+
 type severity = Debug | Info | Warn | Error
 
 val severity_to_string : severity -> string

@@ -4,21 +4,20 @@
    registry counter deltas attributable to the pass, GC allocation,
    a peak-heap sample, and the BDD table / AIG occupancy gauges.
 
+   Rows are assembled by [Boundary], which owns the open-pass stack;
+   this module only numbers, keeps and serializes them.
+
    Determinism contract: every field except the resource samples
    (wall_ns, minor/major words, heap_words) is bit-identical at any
    --jobs. Counter deltas are differences of [Metrics.counters_now]
    taken at pass boundaries on the main domain — worker shards have
-   already been replayed through the deterministic Par_merge order by
-   then. The BDD load gauges are written by [Bdd_bridge.flush_stats],
-   which only runs in [finish_partition] on the main domain in
-   ascending partition order, so their per-pass maxima are equally
-   job-count independent. [row_to_json ~stable:true] projects a row
+   already been replayed through the deterministic [Par_merge.run]
+   order by then. The BDD load gauges are written by
+   [Bdd_bridge.finish_partition] on the main domain in ascending partition
+   order, so their per-pass maxima are equally job-count
+   independent. [row_to_json ~stable:true] projects a row
    onto the deterministic fields only; the jobs-identity test compares
    that projection byte-for-byte. *)
-
-external monotonic_ns : unit -> (int64[@unboxed])
-  = "sbm_obs_monotonic_ns_byte" "sbm_obs_monotonic_ns"
-[@@noalloc]
 
 type row = {
   path : string; (* slash-joined pass path, e.g. "iteration-1/mspf" *)
@@ -40,139 +39,35 @@ type row = {
   dead_node_pct : int; (* dead AIG slots after the pass *)
 }
 
-(* An open (started, not yet ended) pass. [u_max]/[c_max] accumulate
-   the BDD load gauges: the gauges are drained into every open frame
-   and reset whenever a pass starts or ends, so each frame sees the
-   maximum over exactly its own extent, nesting included. *)
-type frame = {
-  name : string;
-  t0 : int64;
-  counters0 : (string * int) list;
-  minor0 : float;
-  major0 : float;
-  mutable u_max : int;
-  mutable c_max : int;
-}
-
 type state = {
   mutable enabled : bool;
-  mutable stack : frame list; (* innermost first *)
   mutable rows : row list; (* newest first *)
   mutable next_index : int;
 }
 
-let state = { enabled = false; stack = []; rows = []; next_index = 0 }
+let state = { enabled = false; rows = []; next_index = 0 }
 
 let enabled () = state.enabled
 
-let reset () =
-  state.stack <- [];
+let set_enabled on =
+  state.enabled <- on;
   state.rows <- [];
   state.next_index <- 0
 
-let enable () =
-  reset ();
-  state.enabled <- true
+let enable () = set_enabled true
+let disable () = set_enabled false
 
-let disable () =
-  state.enabled <- false;
-  reset ()
-
-let find_gauge = Metrics.find
-
-(* Read-and-reset a gauge registered elsewhere (bdd_bridge); absent
-   until the BDD layer is linked, hence the option. *)
-let drain name =
-  match find_gauge name with
-  | None -> 0
-  | Some m ->
-    let v = Metrics.value m in
-    Metrics.set m 0;
-    v
-
-let drain_gauges () =
-  let u = drain "bdd.unique_load_pct" in
-  let c = drain "bdd.cache_load_pct" in
-  if u > 0 || c > 0 then
-    List.iter
-      (fun f ->
-        if u > f.u_max then f.u_max <- u;
-        if c > f.c_max then f.c_max <- c)
-      state.stack
-
-let pass_started name =
+let append row =
   if state.enabled then begin
-    drain_gauges ();
-    let q = Gc.quick_stat () in
-    state.stack <-
-      {
-        name;
-        t0 = monotonic_ns ();
-        counters0 = Metrics.counters_now ();
-        minor0 = q.Gc.minor_words;
-        major0 = q.Gc.major_words;
-        u_max = 0;
-        c_max = 0;
-      }
-      :: state.stack
-  end
-
-let counter_delta = Metrics.counters_delta
-
-let pass_ended ?(fingerprint = 0L) ~size_before ~size_after ~depth_before
-    ~depth_after ~luts ~levels ~dead_node_pct () =
-  if state.enabled then begin
-    match state.stack with
-    | [] -> () (* unbalanced end: drop rather than corrupt the ledger *)
-    | f :: rest ->
-      drain_gauges ();
-      state.stack <- rest;
-      let q = Gc.quick_stat () in
-      let path =
-        List.fold_left (fun acc g -> g.name ^ "/" ^ acc) f.name rest
-      in
-      let row =
-        {
-          path;
-          index = state.next_index;
-          size_before;
-          size_after;
-          depth_before;
-          depth_after;
-          luts;
-          levels;
-          fingerprint;
-          wall_ns = Int64.sub (monotonic_ns ()) f.t0;
-          counters = counter_delta f.counters0 (Metrics.counters_now ());
-          minor_words = q.Gc.minor_words -. f.minor0;
-          major_words = q.Gc.major_words -. f.major0;
-          heap_words = q.Gc.heap_words;
-          unique_load_pct = f.u_max;
-          cache_load_pct = f.c_max;
-          dead_node_pct;
-        }
-      in
-      state.next_index <- state.next_index + 1;
-      state.rows <- row :: state.rows
+    state.rows <- { row with index = state.next_index } :: state.rows;
+    state.next_index <- state.next_index + 1
   end
 
 let rows () = List.rev state.rows
 
 (* --- JSON --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Sbm_util.Json_escape.string
 
 (* [stable] omits the resource samples that legitimately vary run to
    run (wall, GC words, heap); everything else is covered by the

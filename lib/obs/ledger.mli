@@ -1,7 +1,7 @@
 (** Per-pass resource ledger.
 
-    While enabled, [Flow] reports every pass boundary here and the
-    ledger accumulates one {!row} per completed pass: QoR
+    While enabled, {!Boundary} reports every completed pass here and
+    the ledger accumulates one {!row} per completed pass: QoR
     before/after, wall time, registry counter deltas, GC allocation, a
     peak-heap sample and the BDD/AIG occupancy gauges. Rows are
     deterministic at any [--jobs] except for the resource samples;
@@ -45,28 +45,10 @@ val disable : unit -> unit
 
 val enabled : unit -> bool
 
-val reset : unit -> unit
-(** Clear rows and open passes; keeps the enabled flag. *)
-
-val pass_started : string -> unit
-(** [pass_started name] opens a pass frame. Nested passes produce
-    slash-joined paths. No-op while disabled. *)
-
-val pass_ended :
-  ?fingerprint:int64 ->
-  size_before:int ->
-  size_after:int ->
-  depth_before:int ->
-  depth_after:int ->
-  luts:int ->
-  levels:int ->
-  dead_node_pct:int ->
-  unit ->
-  unit
-(** Close the innermost open frame into a {!row}. Pass [-1] for
-    [luts]/[levels] when no LUT probe ran; [fingerprint] is the audit
-    trail chain value at this boundary (default [0L] = no trail).
-    No-op while disabled. *)
+val append : row -> unit
+(** Record one completed pass; the row's [index] is replaced by the
+    next completion index. No-op while disabled. Called by
+    [Boundary.finish]. *)
 
 val rows : unit -> row list
 (** Completed rows in completion order (a nested pass precedes its

@@ -4,6 +4,7 @@ module Metrics = Metrics
 module Status = Status
 module Ledger = Ledger
 module Fingerprint = Fingerprint
+module Boundary = Boundary
 
 external monotonic_ns : unit -> (int64[@unboxed])
   = "sbm_obs_monotonic_ns_byte" "sbm_obs_monotonic_ns"
@@ -266,21 +267,7 @@ let pp ppf trace =
   in
   List.iter (go 0) (spans trace)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Sbm_util.Json_escape.string
 
 let buf_counters b counters =
   Buffer.add_char b '{';

@@ -48,6 +48,11 @@ module Fingerprint = Fingerprint
     every pass and partition-merge boundary, streamed as JSONL and
     aligned by `sbm audit`; see {!Fingerprint}. *)
 
+module Boundary = Boundary
+(** The single pass/merge boundary path: owns the stack of open passes
+    and publishes each boundary to the trail, ledger, recorder and
+    watchdog; see {!Boundary}. *)
+
 type trace
 (** A collector of closed spans. *)
 

@@ -9,10 +9,6 @@
    torn line — it either opens the previous complete file or the new
    complete file. *)
 
-external monotonic_ns : unit -> (int64[@unboxed])
-  = "sbm_obs_monotonic_ns_byte" "sbm_obs_monotonic_ns"
-[@@noalloc]
-
 type sample = {
   seq : int;
   t_ms : float; (* since the sampler started *)
@@ -29,18 +25,7 @@ let max_history = 600
 
 (* --- JSON emission (same minimal escaper as Sbm_obs reporters) --- *)
 
-let buf_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+let buf_escape = Sbm_util.Json_escape.add
 
 let add_pairs b key pairs =
   Buffer.add_string b (Printf.sprintf ",\"%s\":{" key);
@@ -96,7 +81,7 @@ let current : st option ref = ref None
 
 let take_sample st ~finished =
   let t_ms =
-    Int64.to_float (Int64.sub (monotonic_ns ()) st.t0) /. 1_000_000.
+    Int64.to_float (Int64.sub (Flight_recorder.monotonic_ns ()) st.t0) /. 1_000_000.
   in
   let pass =
     Flight_recorder.span_stack () |> List.rev_map fst |> String.concat ">"
@@ -171,7 +156,7 @@ let start ?(interval_ms = 500.) path =
     {
       path;
       interval_ms = Float.max 20. interval_ms;
-      t0 = monotonic_ns ();
+      t0 = Flight_recorder.monotonic_ns ();
       seq = 0;
       history = [];
       stop_flag = Atomic.make false;

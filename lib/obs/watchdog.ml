@@ -23,17 +23,19 @@ let default_config =
 
 type verdict = { rule : string; detail : string; action : action; t_ns : int64 }
 
-(* One stack entry per open scripted pass. [deadline_fired] keeps the
-   deadline rule from refiring on every poll of a stuck pass. *)
-type pass_frame = {
+(* The watchdog's view of one open scripted pass; the stack of them
+   is [Boundary]'s. [deadline_fired] keeps the deadline rule from
+   refiring on every poll of a stuck pass. *)
+type pass = {
   p_name : string;
   p_t0 : int64; (* FR.elapsed_ns at open *)
   mutable deadline_fired : bool;
 }
 
+let pass name = { p_name = name; p_t0 = FR.elapsed_ns (); deadline_fired = false }
+
 type state = {
   mutable config : config option; (* None = disarmed *)
-  mutable passes : pass_frame list; (* innermost first *)
   mutable bail_streak : int;
   mutable stall_streak : int;
   mutable heap_fired : bool;
@@ -49,7 +51,6 @@ type state = {
 let st =
   {
     config = None;
-    passes = [];
     bail_streak = 0;
     stall_streak = 0;
     heap_fired = false;
@@ -79,7 +80,6 @@ let enabled () = st.config <> None
 let arm config =
   if not (FR.enabled ()) then FR.enable ();
   st.config <- Some config;
-  st.passes <- [];
   st.bail_streak <- 0;
   st.stall_streak <- 0;
   st.heap_fired <- false;
@@ -91,7 +91,6 @@ let arm config =
 
 let disarm () =
   st.config <- None;
-  st.passes <- [];
   Atomic.set st.abort false
 
 let verdicts () = List.rev st.verdicts
@@ -103,31 +102,6 @@ let fire (config : config) rule detail =
   st.verdicts <- v :: st.verdicts;
   FR.record ~severity:Warn ~engine:"watchdog" ~id:rule detail;
   if config.action = Abort then Atomic.set st.abort true
-
-let pass_started name =
-  match st.config with
-  | None -> ()
-  | Some _ ->
-    st.passes <-
-      { p_name = name; p_t0 = FR.elapsed_ns (); deadline_fired = false }
-      :: st.passes
-
-let pass_ended name =
-  match st.config with
-  | None -> ()
-  | Some _ ->
-    (* Pop the innermost matching frame (frames opened under it are
-       discarded — defensive against a pass dying without closing its
-       children). A pending abort applied to the pass winding down. *)
-    let rec drop = function
-      | f :: rest when f.p_name = name -> Some rest
-      | _ :: rest -> drop rest
-      | [] -> None
-    in
-    (match drop st.passes with
-    | Some rest -> st.passes <- rest
-    | None -> ());
-    Atomic.set st.abort false
 
 let ms_of_ns ns = Int64.to_float ns /. 1e6
 
@@ -168,12 +142,12 @@ let heap_mb () =
   let s = Gc.quick_stat () in
   float_of_int s.Gc.heap_words *. float_of_int (Sys.word_size / 8) /. 1e6
 
-let heartbeat config now =
+let heartbeat config ~passes now =
   match config.heartbeat_ms with
   | None -> ()
   | Some interval ->
     let where =
-      match st.passes with
+      match passes with
       | [] -> "-"
       | fs -> String.concat ">" (List.rev_map (fun f -> f.p_name) fs)
     in
@@ -194,7 +168,7 @@ let heartbeat config now =
         (List.length st.verdicts)
     end
 
-let poll () =
+let poll ~passes =
   match st.config with
   | None -> ()
   | Some config ->
@@ -216,7 +190,7 @@ let poll () =
                    f.p_name open_ms deadline)
             end
           end)
-        st.passes);
+        passes);
     (match config.max_heap_mb with
     | None -> ()
     | Some limit ->
@@ -228,4 +202,4 @@ let poll () =
             (Printf.sprintf "major heap %.0fMB exceeds %.0fMB" mb limit)
         end
       end);
-    heartbeat config now
+    heartbeat config ~passes now

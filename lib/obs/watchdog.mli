@@ -6,9 +6,9 @@
     violation by recording a [watchdog] event in the
     {!Flight_recorder}, appending a {!verdict} (surfaced by post-mortem
     dumps and [sbm inspect]), and, when armed with {!Abort}, requesting
-    a graceful abort: the engines check {!abort_requested} at their
-    loop boundaries and wind down with their budget marked exhausted,
-    never mid-surgery.
+    a graceful abort: the partition driver and the gradient engine
+    check {!abort_requested} at their loop boundaries and wind down
+    with their budget marked exhausted, never mid-surgery.
 
     Like the recorder, the watchdog is a process-global singleton that
     costs one branch when disarmed. It owns the heartbeat: with
@@ -52,7 +52,7 @@ type verdict = {
 val enabled : unit -> bool
 
 val arm : config -> unit
-(** Arm with fresh state (streaks, verdicts, pass stack cleared). Also
+(** Arm with fresh state (streaks and verdicts cleared). Also
     enables the {!Flight_recorder} if it is not already on, so
     verdicts always land somewhere. *)
 
@@ -63,18 +63,11 @@ val verdicts : unit -> verdict list
 
 val abort_requested : unit -> bool
 (** True after an [Abort]-armed violation, until the innermost pass
-    ends (or {!clear_abort}). *)
+    ends ([Boundary.finish] calls {!clear_abort}). *)
 
 val clear_abort : unit -> unit
 
 (** {1 Signals from the flow and the engines} *)
-
-val pass_started : string -> unit
-(** A scripted pass opened (pushes onto the watchdog's pass stack). *)
-
-val pass_ended : string -> unit
-(** A scripted pass closed; pops its stack entry and clears a pending
-    abort — the abort applied to the pass that just wound down. *)
 
 val note_partition : engine:string -> bails:int -> unit
 (** A partition finished with [bails] BDD budget bail-outs; [bails= 0]
@@ -84,9 +77,18 @@ val note_round : gain:int -> unit
 (** A gradient round finished with total [gain]; positive gain resets
     the stall streak. *)
 
-val poll : unit -> unit
-(** Evaluate time- and memory-based rules and emit a heartbeat if one
-    is due. Engines call this at partition/round boundaries; it is a
+type pass
+(** The watchdog's per-pass state (open time, whether the deadline
+    already fired). {!Boundary} keeps one per open pass on its stack
+    and hands the stack to {!poll}. *)
+
+val pass : string -> pass
+(** [pass name] is the state of a pass opening now. *)
+
+val poll : passes:pass list -> unit
+(** Evaluate time- and memory-based rules against the open [passes]
+    (innermost first) and emit a heartbeat if one is due. Called
+    through [Boundary.poll] at partition/round boundaries; it is a
     single branch when disarmed. When stderr is not a TTY the
     heartbeat is throttled to one line per pass-path change (CI logs
     get a pass trail, not a pulse train). *)

@@ -12,11 +12,9 @@
    engine must redo the partition sequentially. [apply] returns
    whether it committed edits. *)
 
-let run_ordered ?chunk pool parts ~analyze ~apply =
+let run_ordered pool parts ~analyze ~apply =
   let n = Array.length parts in
-  let chunk =
-    match chunk with Some c -> max 1 c | None -> max 1 (2 * Pool.jobs pool)
-  in
+  let chunk = max 1 (2 * Pool.jobs pool) in
   let i = ref 0 in
   while !i < n do
     let base = !i in

@@ -1,8 +1,8 @@
 (** Deterministic chunked snapshot/analyze/apply schedule.
 
     [run_ordered pool parts ~analyze ~apply] analyzes [parts] in
-    parallel, a chunk at a time (default chunk: twice the pool's job
-    count), then applies results sequentially in ascending partition
+    parallel, a chunk of twice the pool's job count at a time, then
+    applies results sequentially in ascending partition
     index. [analyze i part] runs on a worker domain and must only read
     shared state (or mutate private snapshots). [apply i part result
     ~dirty] runs on the calling domain in index order; [dirty] is true
@@ -14,7 +14,6 @@
     edits in the exact same order as a sequential run: clean analyses
     are merged verbatim, stale ones are redone sequentially. *)
 val run_ordered :
-  ?chunk:int ->
   Pool.t ->
   'p array ->
   analyze:(int -> 'p -> 'a) ->

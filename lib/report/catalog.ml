@@ -31,19 +31,7 @@ let to_text () =
   Buffer.add_string b (Printf.sprintf "%d metrics registered\n" (List.length rows));
   Buffer.contents b
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let escape = Sbm_util.Json_escape.string
 
 let to_json () =
   let b = Buffer.create 4096 in

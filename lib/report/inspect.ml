@@ -177,20 +177,7 @@ let pp ?(last = 20) ?(abs = false) ppf d =
 
 (* --- canonical re-emission (--json) --- *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let escape = Sbm_util.Json_escape.string
 
 let buf_counters b counters =
   Buffer.add_char b '{';

@@ -112,7 +112,7 @@ let run ?(obs = Sbm_obs.null) ?(sim_rounds = 4) ?(conflict_limit = 1000) ?on_cex
          [ ("classes", Hashtbl.length classes); ("sat_calls", !sat_calls);
            ("merged", !merged); ("restarts", Solver.num_restarts solver) ]
        "sweep done");
-  Sbm_obs.Watchdog.poll ();
+  Sbm_obs.Boundary.poll ();
   (* Registered-handle bumps feed the span tree (when tracing) and the
      process-global registry (always, for live telemetry). *)
   Sbm_obs.bump obs Sat_metrics.sweep_classes (Hashtbl.length classes);

@@ -550,13 +550,8 @@ let eval t bits =
    only depends on the logic function structure, not on allocation
    order or list ordering. *)
 
-let fh_finalize z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let fh_mix2 a b = fh_finalize (Int64.add (Int64.mul a 0x9E3779B97F4A7C15L) b)
+let fh_finalize = Sbm_util.Hash64.finalize
+let fh_mix2 = Sbm_util.Hash64.mix2
 let fh_pi_tag = fh_finalize 0x9747b28cL
 let fh_node_tag = fh_finalize 0x3c6ef372L
 let fh_compl_mask = fh_finalize 0xa54ff53aL

@@ -5,10 +5,7 @@ let create seed = { state = Int64.of_int seed }
 (* SplitMix64: Steele, Lea, Flood (2014). *)
 let next64 g =
   g.state <- Int64.add g.state 0x9E3779B97F4A7C15L;
-  let z = g.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+  Hash64.finalize g.state
 
 let bits g = Int64.to_int (Int64.shift_right_logical (next64 g) 2)
 

@@ -6,6 +6,7 @@
 module Aig = Sbm_aig.Aig
 module Audit = Sbm_report.Audit
 module FP = Sbm_obs.Fingerprint
+module Boundary = Sbm_obs.Boundary
 module Obs = Sbm_obs
 module Rng = Sbm_util.Rng
 
@@ -69,18 +70,29 @@ let test_fold_hash_distinguishes () =
 
 (* --- trail mechanics --- *)
 
+(* Pass and merge boundaries reach the trail through [Boundary]. *)
+let pass_end structure =
+  Boundary.finish
+    ~measure:
+      { Boundary.size = 0; depth = 0; dead_node_pct = 0;
+        structure = (fun () -> structure); lut_qor = (fun () -> (-1, -1)) }
+    ()
+
+let merge engine partition structure =
+  Boundary.merge ~engine ~partition ~structure:(fun () -> structure) []
+
 let with_trail f =
   FP.enable ();
   Fun.protect ~finally:FP.disable f
 
 let test_trail_labels () =
   with_trail (fun () ->
-      FP.pass_started "iteration-1";
-      FP.pass_started "mspf";
-      FP.record_merge ~engine:"mspf" ~partition:0 ~structure:3L;
-      FP.record_merge ~engine:"mspf" ~partition:1 ~structure:4L;
-      ignore (FP.pass_ended ~structure:5L);
-      ignore (FP.pass_ended ~structure:6L);
+      Boundary.start "iteration-1";
+      Boundary.start "mspf";
+      merge "mspf" 0 3L;
+      merge "mspf" 1 4L;
+      pass_end 5L;
+      pass_end 6L;
       let rs = FP.records () in
       Alcotest.(check int) "record count" 4 (List.length rs);
       Alcotest.(check (list int)) "seq in trail order" [ 0; 1; 2; 3 ]
@@ -103,10 +115,10 @@ let test_trail_labels () =
 let test_chain_commits_to_prefix () =
   let trail s0 =
     with_trail (fun () ->
-        FP.pass_started "a";
-        ignore (FP.pass_ended ~structure:s0);
-        FP.pass_started "b";
-        ignore (FP.pass_ended ~structure:2L);
+        Boundary.start "a";
+        pass_end s0;
+        Boundary.start "b";
+        pass_end 2L;
         FP.records ())
   in
   let t1 = trail 1L and t1' = trail 1L and t9 = trail 9L in
@@ -123,10 +135,11 @@ let test_chain_commits_to_prefix () =
 
 let test_disabled_is_noop () =
   FP.disable ();
-  FP.pass_started "ghost";
-  Alcotest.(check int64) "pass_ended returns 0 while disabled" 0L
-    (FP.pass_ended ~structure:1L);
-  FP.record_merge ~engine:"ghost" ~partition:0 ~structure:1L;
+  Alcotest.(check int64) "record_pass returns 0 while disabled" 0L
+    (FP.record_pass ~label:"ghost" ~structure:1L);
+  Boundary.start "ghost";
+  merge "ghost" 0 1L;
+  pass_end 1L;
   Alcotest.(check int) "no records while disabled" 0
     (List.length (FP.records ()))
 
@@ -135,11 +148,11 @@ let test_disabled_is_noop () =
 let test_injection_localized () =
   let run () =
     with_trail (fun () ->
-        FP.pass_started "mspf";
-        FP.record_merge ~engine:"mspf" ~partition:0 ~structure:10L;
-        FP.record_merge ~engine:"mspf" ~partition:1 ~structure:11L;
-        FP.record_merge ~engine:"mspf" ~partition:2 ~structure:12L;
-        ignore (FP.pass_ended ~structure:13L);
+        Boundary.start "mspf";
+        merge "mspf" 0 10L;
+        merge "mspf" 1 11L;
+        merge "mspf" 2 12L;
+        pass_end 13L;
         FP.records ())
   in
   let clean = run () in
@@ -169,10 +182,10 @@ let test_injection_localized () =
 let test_audit_identical_and_truncated () =
   let trail () =
     with_trail (fun () ->
-        FP.pass_started "a";
-        ignore (FP.pass_ended ~structure:1L);
-        FP.pass_started "b";
-        ignore (FP.pass_ended ~structure:2L);
+        Boundary.start "a";
+        pass_end 1L;
+        Boundary.start "b";
+        pass_end 2L;
         FP.records ())
   in
   let t = trail () and t' = trail () in
@@ -200,11 +213,11 @@ let test_audit_identical_and_truncated () =
 let test_jsonl_roundtrip () =
   let rs =
     with_trail (fun () ->
-        FP.pass_started "iteration-1";
-        FP.pass_started "diff";
-        FP.record_merge ~engine:"diff" ~partition:0 ~structure:7L;
-        ignore (FP.pass_ended ~structure:8L);
-        ignore (FP.pass_ended ~structure:9L);
+        Boundary.start "iteration-1";
+        Boundary.start "diff";
+        merge "diff" 0 7L;
+        pass_end 8L;
+        pass_end 9L;
         FP.records ())
   in
   List.iter

@@ -9,6 +9,7 @@ module Aig = Sbm_aig.Aig
 module Obs = Sbm_obs
 module FR = Sbm_obs.Flight_recorder
 module Wd = Sbm_obs.Watchdog
+module Boundary = Sbm_obs.Boundary
 module Inspect = Sbm_report.Inspect
 
 let teardown () =
@@ -91,13 +92,14 @@ let rules () = List.map (fun v -> v.Wd.rule) (Wd.verdicts ())
 
 let test_deadline_fires_once_per_pass () =
   arm_with (fun c -> { c with Wd.pass_deadline_ms = Some 0.0 });
-  Wd.pass_started "mspf";
-  Wd.poll ();
-  Wd.poll ();
+  Boundary.start "mspf";
+  Boundary.poll ();
+  Boundary.poll ();
   Alcotest.(check (list string)) "one verdict per frame" [ "pass-deadline" ] (rules ());
-  Wd.pass_ended "mspf";
-  Wd.pass_started "mspf";
-  Wd.poll ();
+  Boundary.finish ();
+  Boundary.start "mspf";
+  Boundary.poll ();
+  Boundary.finish ();
   Alcotest.(check int) "re-fires for a new activation" 2 (List.length (rules ()));
   (* The verdict also landed in the recorder (arm enables it). *)
   Alcotest.(check bool) "verdict recorded as event" true
@@ -125,16 +127,16 @@ let test_gradient_stall () =
 let test_abort_lifecycle () =
   arm_with (fun c ->
       { c with Wd.max_bail_streak = Some 1; action = Wd.Abort });
-  Wd.pass_started "mspf";
+  Boundary.start "mspf";
   Alcotest.(check bool) "no abort yet" false (Wd.abort_requested ());
   Wd.note_partition ~engine:"mspf" ~bails:1;
   Alcotest.(check bool) "abort requested" true (Wd.abort_requested ());
-  Wd.pass_ended "mspf";
+  Boundary.finish ();
   Alcotest.(check bool) "pass end clears abort" false (Wd.abort_requested ());
   Wd.disarm ();
   (* Disarmed hooks are no-ops. *)
   Wd.note_partition ~engine:"mspf" ~bails:9;
-  Wd.poll ();
+  Boundary.poll ();
   Alcotest.(check bool) "disarmed" false (Wd.abort_requested ())
 
 (* --- post-mortem dumps --- *)

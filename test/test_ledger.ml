@@ -11,6 +11,7 @@ module Epfl = Sbm_epfl.Epfl
 module Jobs = Sbm_par.Jobs
 module Obs = Sbm_obs
 module Ledger = Sbm_obs.Ledger
+module Boundary = Sbm_obs.Boundary
 module Snapshot = Sbm_obs.Snapshot
 module Report = Sbm_report.Report
 module History = Sbm_report.History
@@ -61,15 +62,18 @@ let row ?(counters = []) ?(size = 100) ?(luts = -1) ?(levels = -1)
 (* --- frame bookkeeping --- *)
 
 let test_ledger_paths () =
+  let close () =
+    Boundary.finish
+      ~measure:
+        { Boundary.size = 9; depth = 4; dead_node_pct = 0;
+          structure = (fun () -> 0L); lut_qor = (fun () -> (-1, -1)) }
+      ()
+  in
   with_ledger (fun () ->
-      let close () =
-        Ledger.pass_ended ~size_before:10 ~size_after:9 ~depth_before:4
-          ~depth_after:4 ~luts:(-1) ~levels:(-1) ~dead_node_pct:0 ()
-      in
-      Ledger.pass_started "iteration-1";
-      Ledger.pass_started "mspf";
+      Boundary.start ~size:10 ~depth:4 "iteration-1";
+      Boundary.start ~size:10 ~depth:4 "mspf";
       close ();
-      Ledger.pass_started "rewrite";
+      Boundary.start ~size:10 ~depth:4 "rewrite";
       close ();
       close ();
       let rows = Ledger.rows () in
@@ -84,9 +88,8 @@ let test_ledger_paths () =
       Ledger.enable ();
       Alcotest.(check int) "enable clears" 0 (List.length (Ledger.rows ())));
   (* While disabled the ledger records nothing. *)
-  Ledger.pass_started "stray";
-  Ledger.pass_ended ~size_before:1 ~size_after:1 ~depth_before:1 ~depth_after:1
-    ~luts:(-1) ~levels:(-1) ~dead_node_pct:0 ();
+  Boundary.start ~size:1 ~depth:1 "stray";
+  close ();
   Alcotest.(check bool) "disabled is inert" true (Ledger.rows () = [])
 
 let test_stable_projection () =

@@ -399,24 +399,24 @@ let test_heartbeat_throttle () =
       Wd.force_tty := Some false;
       Wd.arm config;
       Alcotest.(check int) "armed fresh" 0 (Wd.beats ());
-      Wd.pass_started "alpha";
-      Wd.poll ();
-      Wd.poll ();
-      Wd.poll ();
+      Sbm_obs.Boundary.start "alpha";
+      Sbm_obs.Boundary.poll ();
+      Sbm_obs.Boundary.poll ();
+      Sbm_obs.Boundary.poll ();
       Alcotest.(check int) "piped: one beat per pass path" 1 (Wd.beats ());
-      Wd.pass_started "beta";
-      Wd.poll ();
-      Wd.poll ();
+      Sbm_obs.Boundary.start "beta";
+      Sbm_obs.Boundary.poll ();
+      Sbm_obs.Boundary.poll ();
       Alcotest.(check int) "piped: new pass, one more beat" 2 (Wd.beats ());
-      Wd.pass_ended "beta";
-      Wd.poll ();
+      Sbm_obs.Boundary.finish ();
+      Sbm_obs.Boundary.poll ();
       Alcotest.(check int) "piped: popping back counts as a change" 3 (Wd.beats ());
       (* A TTY pulses on every due interval regardless of the pass. *)
       Wd.force_tty := Some true;
-      Wd.poll ();
-      Wd.poll ();
+      Sbm_obs.Boundary.poll ();
+      Sbm_obs.Boundary.poll ();
       Alcotest.(check int) "tty: every due poll beats" 5 (Wd.beats ());
-      Wd.pass_ended "alpha")
+      Sbm_obs.Boundary.finish ())
 
 (* --- live dashboard parsing/rendering --- *)
 

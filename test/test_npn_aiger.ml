@@ -137,6 +137,67 @@ let test_streaming_multichunk () =
   check_format Sbm_aig.Aiger.write ".aag" "ascii";
   check_format Sbm_aig.Aiger.write_binary ".aig" "binary"
 
+(* --- malformed AIGER: typed errors, never a stray exception --- *)
+
+module Aiger = Sbm_aig.Aiger
+
+(* [Some location] when [parse] raises [Parse_error]; any other
+   exception escapes and fails the test. *)
+let parse_error parse data =
+  match parse data with
+  | _ -> None
+  | exception Aiger.Parse_error { at; _ } -> Some at
+
+let test_undefined_literal () =
+  let at = parse_error Aiger.read "aag 3 2 0 1 1\n2\n4\n6\n6 2 9\n" in
+  Alcotest.(check bool) "AND fanin located at its line" true
+    (at = Some (Aiger.Line 5));
+  let at = parse_error Aiger.read "aag 3 2 0 1 1\n2\n4\n11\n6 2 4\n" in
+  Alcotest.(check bool) "output literal located at its line" true
+    (at = Some (Aiger.Line 4))
+
+let test_oversized_header () =
+  let huge = "aag 1099511627775 1099511627774 0 0 1\n2\n" in
+  Alcotest.(check bool) "counts beyond the file end at EOF, unallocated" true
+    (parse_error Aiger.read huge = Some (Aiger.Line 2));
+  Alcotest.(check bool) "numbers past 2^40 are rejected" true
+    (parse_error Aiger.read "aag 1099511627776 0 0 0 0\n" = Some (Aiger.Line 1))
+
+let test_truncated_binary () =
+  let rng = Rng.create 415 in
+  let aig = Helpers.random_xor_aig ~inputs:6 ~gates:30 ~outputs:3 rng in
+  let data = Aiger.write_binary aig in
+  let header = String.index data '\n' + 1 in
+  for len = 0 to String.length data - 1 do
+    match parse_error Aiger.read_binary (String.sub data 0 len) with
+    | None -> Alcotest.failf "prefix of %d bytes parsed" len
+    | Some (Aiger.Byte off) ->
+      Alcotest.(check bool) "byte offset inside the prefix" true
+        (off > header && off <= len)
+    | Some (Aiger.Line _) -> ()
+  done;
+  Alcotest.(check bool) "cut in the AND section reports a byte offset" true
+    (match parse_error Aiger.read_binary (String.sub data 0 (String.length data - 1)) with
+    | Some (Aiger.Byte _) -> true
+    | _ -> false)
+
+(* Random bytes are rejected by the header check; random bytes behind
+   a plausible binary header exercise the AND decoder, which may
+   happen to decode a valid network but must never raise anything
+   else. *)
+let test_random_bytes () =
+  let rng = Rng.create 416 in
+  let random n = String.init n (fun _ -> Char.chr (Rng.int rng 256)) in
+  for _ = 1 to 50 do
+    let junk = random 200 in
+    Alcotest.(check bool) "ascii reader" true (parse_error Aiger.read junk <> None);
+    Alcotest.(check bool) "binary reader" true
+      (parse_error Aiger.read_binary junk <> None);
+    match Aiger.read_binary ("aig 24 4 0 2 20\n2\n5\n" ^ random 60) with
+    | aig -> Aig.check aig
+    | exception Aiger.Parse_error _ -> ()
+  done
+
 (* --- LUT mapping modes --- *)
 
 let test_delay_mode_not_deeper () =
@@ -162,5 +223,9 @@ let suite =
     Alcotest.test_case "file format dispatch" `Quick test_file_format_dispatch;
     Alcotest.test_case "streaming reader spans chunks" `Quick
       test_streaming_multichunk;
+    Alcotest.test_case "aiger: undefined literal" `Quick test_undefined_literal;
+    Alcotest.test_case "aiger: oversized header" `Quick test_oversized_header;
+    Alcotest.test_case "aiger: truncated binary" `Quick test_truncated_binary;
+    Alcotest.test_case "aiger: random bytes" `Quick test_random_bytes;
     Alcotest.test_case "delay mapping mode" `Quick test_delay_mode_not_deeper;
   ]

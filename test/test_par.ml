@@ -118,12 +118,67 @@ type run_fingerprint = {
   counters : (string * int) list;
   attribution : string;
   trail : Obs.Fingerprint.record list;
+  events : (string * string * string * (string * int) list) list;
+      (* flight-recorder (engine, id, message, metrics); seq and t_ns
+         are schedule-dependent by design *)
 }
+
+(* Large enough that no quick-set run wraps the ring. *)
+let recorder_capacity = 1 lsl 16
+
+let recorder_events () =
+  Alcotest.(check int) "recorder ring did not wrap" 0 (FR.dropped ());
+  List.map
+    (fun (e : FR.event) -> (e.FR.engine, e.FR.id, e.FR.message, e.FR.metrics))
+    (FR.events ())
+
+(* Event-for-event equality of two recorder streams. *)
+let check_events name seq par =
+  Alcotest.(check bool) (name ^ ": recorder events present") true (seq <> []);
+  Alcotest.(check int) (name ^ ": recorder event count")
+    (List.length seq) (List.length par);
+  let show (engine, id, message, metrics) =
+    Printf.sprintf "%s/%s %S [%s]" engine id message
+      (String.concat "; " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) metrics))
+  in
+  List.iteri
+    (fun i (a, b) ->
+      if a <> b then
+        Alcotest.failf "%s: recorder event %d differs: jobs=1 %s, jobs=4 %s" name i
+          (show a) (show b))
+    (List.combine seq par)
+
+(* The BDD engines on their own, under a budget tight enough that
+   clean worker analyses record bail-out events: the order
+   Par_merge.run replays captured events in (before the merge
+   boundary's own event) is then visible in the stream. *)
+let engine_runs jobs b =
+  with_jobs jobs (fun () ->
+      FR.enable ~capacity:recorder_capacity ();
+      Fun.protect ~finally:FR.disable (fun () ->
+          let aig = Epfl.generate b in
+          let config =
+            { Sbm_core.Engine_intf.default with
+              Sbm_core.Engine_intf.bdd_node_limit = Some 64 }
+          in
+          let outputs =
+            List.map
+              (fun (name, (module E : Sbm_core.Engine_intf.S)) ->
+                (name, Sbm_aig.Aiger.write (fst (E.run config aig))))
+              [ ("diff", (module Sbm_core.Diff_resub.Engine));
+                ("mspf", (module Sbm_core.Mspf.Engine)) ]
+          in
+          (outputs, recorder_events ())))
 
 let fingerprint jobs b =
   with_jobs jobs (fun () ->
       Obs.Fingerprint.enable ();
-      Fun.protect ~finally:Obs.Fingerprint.disable (fun () ->
+      FR.enable ~capacity:recorder_capacity ();
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Fingerprint.disable ();
+          FR.disable ())
+        (fun () ->
           let aig = Epfl.generate b in
           let trace = Obs.create () in
           let root =
@@ -147,6 +202,7 @@ let fingerprint jobs b =
               Sbm_report.Attribution.to_json
                 (Sbm_report.Attribution.compute optimized mapping);
             trail = Obs.Fingerprint.records ();
+            events = recorder_events ();
           }))
 
 let check_deterministic b =
@@ -179,7 +235,21 @@ let check_deterministic b =
     (List.mem_assoc "prefilter.survivors" seq.counters);
   Alcotest.(check string)
     (name ^ ": attribution shares")
-    seq.attribution par.attribution
+    seq.attribution par.attribution;
+  (* Par_merge.run replays captured worker events before the merge
+     boundary's own event, in partition order: the recorder stream
+     must match the sequential run's event for event. *)
+  check_events (name ^ " flow") seq.events par.events;
+  let seq_out, seq_events = engine_runs 1 b in
+  let par_out, par_events = engine_runs 4 b in
+  Alcotest.(check (list (pair string string)))
+    (name ^ ": tight-budget engine outputs")
+    seq_out par_out;
+  Alcotest.(check bool)
+    (name ^ ": tight budget makes workers record bail-outs")
+    true
+    (List.exists (fun (engine, _, _, _) -> engine = "bdd") seq_events);
+  check_events (name ^ " engines") seq_events par_events
 
 let test_determinism_quick_set () =
   List.iter check_deterministic Epfl.quick_set

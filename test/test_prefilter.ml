@@ -266,11 +266,15 @@ let engine_identity bench =
             Engine_intf.default with
             Engine_intf.prefilter =
               (if prefilter then Some (Prefilter.create_bank ()) else None);
-            jobs = Some jobs;
           }
         in
-        let result, stats = E.run config input in
-        (Sbm_aig.Aiger.write result, stats.Engine_intf.gain)
+        let saved = Sbm_par.Jobs.get () in
+        Sbm_par.Jobs.set jobs;
+        Fun.protect
+          ~finally:(fun () -> Sbm_par.Jobs.set saved)
+          (fun () ->
+            let result, stats = E.run config input in
+            (Sbm_aig.Aiger.write result, stats.Engine_intf.gain))
       in
       let reference = run ~prefilter:false ~jobs:1 in
       List.iter
