@@ -371,14 +371,6 @@ let set_output aig i l =
   aig.nrefs.(ov) <- aig.nrefs.(ov) - 1;
   if aig.nrefs.(ov) = 0 then kill_cone aig ov
 
-(* In-place replacement with cascading structural re-hashing.
-   Invariants maintained across the loop:
-   - every queued pair (o, nl) has nl's node pinned with one extra
-     reference, so merge targets cannot be garbage-collected before
-     their turn;
-   - once a node's references have been moved, it is recorded in the
-     forwarding table, and later queue entries resolve through it, so
-     references are never moved onto a dismantled node. *)
 (* Traversal id helper (shared by the cone walks below). *)
 let new_trav aig =
   aig.trav_id <- aig.trav_id + 1;
@@ -399,17 +391,20 @@ let fanout_nodes aig node =
       end)
     [] aig.fanouts node
 
-let in_tfi aig ~node ~root =
+(* Iterative DFS over fanins. Nodes of [bound] are marked visited up
+   front, so the walk tests them but never descends below them. *)
+let in_tfi ?(bound = [||]) aig ~node ~root =
   let id = new_trav aig in
+  Array.iter (fun v -> aig.trav.(v) <- id) bound;
   let stack = Vec.create () in
   let found = ref false in
   Vec.push stack root;
   while (not !found) && not (Vec.is_empty stack) do
     let v = Vec.pop stack in
-    if aig.trav.(v) <> id then begin
+    if v = node then found := true
+    else if aig.trav.(v) <> id then begin
       aig.trav.(v) <- id;
-      if v = node then found := true
-      else if is_and aig v then begin
+      if is_and aig v then begin
         Vec.push stack (node_of aig.fanin0.(v));
         Vec.push stack (node_of aig.fanin1.(v))
       end
@@ -417,16 +412,44 @@ let in_tfi aig ~node ~root =
   done;
   !found
 
-let replace aig root lit =
+(* Generation stamps of one node's transitive fanout. The array is
+   private to the marks (the shared [trav] stamps are reused by every
+   other walk, including the [fanout_nodes] calls a resub window makes
+   while it consults the marks). *)
+type tfo_marks = { mutable stamp : int array; mutable gen : int }
+
+let tfo_marks () = { stamp = [||]; gen = 0 }
+
+let mark_tfo aig m root =
+  if Array.length m.stamp < aig.n then m.stamp <- Array.make (2 * aig.n) 0;
+  m.gen <- m.gen + 1;
+  let gen = m.gen and stamp = m.stamp in
+  let stack = Vec.create () in
+  Vec.push stack root;
+  while not (Vec.is_empty stack) do
+    let v = Vec.pop stack in
+    if stamp.(v) <> gen then begin
+      stamp.(v) <- gen;
+      Csr.iter (fun fo -> if not aig.dead.(fo) then Vec.push stack fo) aig.fanouts v
+    end
+  done
+
+let in_tfo m v = v < Array.length m.stamp && m.stamp.(v) = m.gen
+
+let validate_replace aig root lit =
   if not (is_and aig root) then invalid_arg "Aig.replace: root must be a live AND";
   if node_of lit >= aig.n || aig.dead.(node_of lit) then invalid_arg "Aig.replace: dead literal";
-  if node_of lit = root then invalid_arg "Aig.replace: self-replacement";
-  (* The replacement cone must not contain the root: structural
-     hashing can silently rebuild the root inside a speculative
-     candidate (e.g. root = a & ~b inside an a-xor-b candidate), and
-     rewiring would then close a combinational cycle. *)
-  if in_tfi aig ~node:root ~root:(node_of lit) then
-    invalid_arg "Aig.replace: candidate cone contains the root (cycle)";
+  if node_of lit = root then invalid_arg "Aig.replace: self-replacement"
+
+(* In-place replacement with cascading structural re-hashing.
+   Invariants maintained across the loop:
+   - every queued pair (o, nl) has nl's node pinned with one extra
+     reference, so merge targets cannot be garbage-collected before
+     their turn;
+   - once a node's references have been moved, it is recorded in the
+     forwarding table, and later queue entries resolve through it, so
+     references are never moved onto a dismantled node. *)
+let rewire aig root lit =
   let queue = Queue.create () in
   let forward : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let rec resolve l =
@@ -525,6 +548,20 @@ let replace aig root lit =
       aig.nrefs.(v) <- aig.nrefs.(v) - 1;
       if aig.nrefs.(v) = 0 then kill_cone aig v)
     pinned
+
+let replace aig root lit =
+  validate_replace aig root lit;
+  (* The replacement cone must not contain the root: structural
+     hashing can silently rebuild the root inside a speculative
+     candidate (e.g. root = a & ~b inside an a-xor-b candidate), and
+     rewiring would then close a combinational cycle. *)
+  if in_tfi aig ~node:root ~root:(node_of lit) then
+    invalid_arg "Aig.replace: candidate cone contains the root (cycle)";
+  rewire aig root lit
+
+let replace_trusted aig root lit =
+  validate_replace aig root lit;
+  rewire aig root lit
 
 let topo aig =
   let id = new_trav aig in

@@ -225,9 +225,30 @@ val levels : t -> int array
 (** [depth aig] is the maximum output level. *)
 val depth : t -> int
 
-(** [in_tfi aig ~node ~root] is true if [node] lies in the transitive
-    fanin cone of [root] (inclusive). *)
-val in_tfi : t -> node:int -> root:int -> bool
+(** [in_tfi ?bound aig ~node ~root] is true if [node] lies in the
+    transitive fanin cone of [root] (inclusive). The walk does not
+    descend below the nodes of [bound] (default none): a caller that
+    knows [node] is not in the TFI of any of them, such as the leaves
+    of a cut of [node], gets an exact answer from a window-sized
+    walk. *)
+val in_tfi : ?bound:int array -> t -> node:int -> root:int -> bool
+
+(** Marks of one node's live transitive fanout, reused from window to
+    window by a pass: marking costs the size of the fanout cone, and
+    each later query is an array probe. Not safe to share between
+    domains. *)
+type tfo_marks
+
+val tfo_marks : unit -> tfo_marks
+
+(** [mark_tfo aig m root] marks the live transitive fanout of [root]
+    (inclusive), replacing the previous marks of [m]. *)
+val mark_tfo : t -> tfo_marks -> int -> unit
+
+(** [in_tfo m v] is true if [v] was marked by the last {!mark_tfo} on
+    [m], i.e. [in_tfi aig ~node:root ~root:v] held at that time. Nodes
+    created since are unmarked. *)
+val in_tfo : tfo_marks -> int -> bool
 
 (** [mffc_size aig n] is the size of the maximum fanout-free cone of
     AND node [n]: the count of AND nodes that die if [n] is removed. *)
@@ -241,12 +262,18 @@ val support : t -> int -> int list
 (** [replace aig n l] redirects every reference to node [n] (fanins
     and outputs) to literal [l], then deletes [n]'s MFFC. Fanout nodes
     whose fanin pair becomes trivial or structurally equal to an
-    existing node are merged recursively. The caller must guarantee
-    [node_of l] is not in the TFO of [n] (checked with [in_tfi] on
-    demand); violating this would create a cycle.
-    @raise Invalid_argument if [n] is not a live AND node or if the
-    replacement is self-referential. *)
+    existing node are merged recursively. [node_of l] must not be in
+    the TFO of [n], which would create a cycle; [replace] checks this
+    with an unbounded {!in_tfi} walk.
+    @raise Invalid_argument if [n] is not a live AND node, if [l] is
+    dead, or if the replacement is self-referential or would close a
+    cycle. *)
 val replace : t -> int -> lit -> unit
+
+(** [replace_trusted aig n l] is {!replace} without the cycle check,
+    for callers that have already ruled the cycle out (typically with
+    a bounded {!in_tfi}). *)
+val replace_trusted : t -> int -> lit -> unit
 
 (** [delete_dangling aig n] recursively deletes AND node [n] if it has
     no references, releasing its cone. Safe to call on live nodes (a

@@ -37,5 +37,12 @@ val tt_var : int -> int -> int64
 val tt_mask : int -> int64
 
 (** [stretch tt leaves super] re-expresses [tt] (over [leaves]) on the
-    superset leaf list [super]; both must be sorted. *)
+    superset leaf list [super] of at most 6 leaves; both must be
+    sorted.
+    @raise Invalid_argument if a leaf is missing from [super]. *)
 val stretch : int64 -> int array -> int array -> int64
+
+(** [merge_leaves k a b] is the sorted union of the sorted leaf arrays
+    [a] and [b], or [None] if it has more than [k] elements (then
+    nothing is allocated). *)
+val merge_leaves : int -> int array -> int array -> int array option

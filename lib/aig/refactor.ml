@@ -71,23 +71,25 @@ let cone_tt aig root leaves =
   in
   eval root
 
-let refactor_node aig ~zero_gain ~max_leaves v =
+let refactor_node aig memo ~zero_gain ~max_leaves v =
   let leaves = reconv_cut aig v ~max_leaves in
   if Array.length leaves < 2 || Array.length leaves > Tt.max_vars then 0
   else begin
     let tt = cone_tt aig v leaves in
     let leaf_lits = Array.map (fun leaf -> Aig.lit_of leaf false) leaves in
-    let candidate = Synth.of_tt aig tt leaf_lits in
+    let candidate = Synth.of_tt ~memo aig tt leaf_lits in
     if Aig.node_of candidate = v then 0
-    else if Aig.in_tfi aig ~node:v ~root:(Aig.node_of candidate) then begin
-      (* Strashing rebuilt v inside the candidate: skip (cycle). *)
+    else if Aig.in_tfi ~bound:leaves aig ~node:v ~root:(Aig.node_of candidate) then begin
+      (* Strashing rebuilt v inside the candidate: skip (cycle). The
+         candidate's cone bottoms out at the cut leaves, which lie
+         strictly inside v's TFI, so the walk stops there. *)
       Aig.delete_dangling aig (Aig.node_of candidate);
       0
     end
     else begin
       let gain = Aig.gain_of_replacement aig ~root:v ~candidate in
       if gain > 0 || (zero_gain && gain = 0) then begin
-        Aig.replace aig v candidate;
+        Aig.replace_trusted aig v candidate;
         gain
       end
       else begin
@@ -99,11 +101,12 @@ let refactor_node aig ~zero_gain ~max_leaves v =
 
 let run ?(zero_gain = false) ?(max_leaves = 10) ?(min_mffc = 0) aig =
   let max_leaves = min max_leaves Tt.max_vars in
+  let memo = Synth.memo () in
   let order = Aig.topo aig in
   let total = ref 0 in
   Array.iter
     (fun v ->
       if Aig.is_and aig v && (min_mffc <= 1 || Aig.mffc_size aig v >= min_mffc) then
-        total := !total + refactor_node aig ~zero_gain ~max_leaves v)
+        total := !total + refactor_node aig memo ~zero_gain ~max_leaves v)
     order;
   !total

@@ -2,8 +2,11 @@ module Tt = Sbm_truthtable.Tt
 
 (* Collect divisor nodes for a window: nodes in the cone below [root]
    (excluding [root] itself) plus fanouts of cone nodes whose support
-   stays within the leaf set. All truth tables are over the leaves. *)
-let collect_divisors aig root leaves ~max_divisors =
+   stays within the leaf set and that are not in [root]'s TFO. The TFO
+   is marked once in [tfo], so each divisor test is an array probe.
+   All truth tables are over the leaves. *)
+let collect_divisors aig tfo root leaves ~max_divisors =
+  Aig.mark_tfo aig tfo root;
   let n = Array.length leaves in
   let tts : (int, Tt.t) Hashtbl.t = Hashtbl.create 64 in
   Array.iteri (fun i v -> Hashtbl.replace tts v (Tt.var n i)) leaves;
@@ -50,7 +53,7 @@ let collect_divisors aig root leaves ~max_divisors =
     if v <> root && !count < max_divisors
        && (not (Hashtbl.mem tts v))
        && Aig.is_and aig v
-       && not (Aig.in_tfi aig ~node:root ~root:v)
+       && not (Aig.in_tfo tfo v)
     then begin
       match eval v with
       | Some _ -> ()
@@ -66,7 +69,7 @@ let collect_divisors aig root leaves ~max_divisors =
   Hashtbl.iter
     (fun v tt ->
       if v <> root && v <> 0 && not (Array.exists (fun l -> l = v) leaves) then begin
-        if !count < max_divisors && not (Aig.in_tfi aig ~node:root ~root:v) then begin
+        if !count < max_divisors && not (Aig.in_tfo tfo v) then begin
           incr count;
           divisors := (v, tt) :: !divisors
         end
@@ -76,18 +79,21 @@ let collect_divisors aig root leaves ~max_divisors =
   Array.iteri (fun i v -> divisors := (v, Tt.var n i) :: !divisors) leaves;
   (root_tt, !divisors)
 
-let resub_node aig ~zero_gain ~max_leaves ~max_divisors root =
+let resub_node aig tfo ~zero_gain ~max_leaves ~max_divisors root =
   let leaves = Refactor.reconv_cut aig root ~max_leaves in
   if Array.length leaves < 2 || Array.length leaves > Tt.max_vars then 0
   else begin
-    let root_tt, divisors = collect_divisors aig root leaves ~max_divisors in
+    let root_tt, divisors = collect_divisors aig tfo root leaves ~max_divisors in
     let commit candidate =
       (* Strashing can rebuild the root inside the candidate cone
          (e.g. root = a & ~b inside an a-xor-b candidate): committing
-         would close a cycle, so such candidates are discarded. *)
+         would close a cycle, so such candidates are discarded. The
+         candidate is built on divisors, none of which is in the
+         root's TFO, so the walk stops at them. *)
+      let bound = Array.of_list (List.map fst divisors) in
       if
         Aig.node_of candidate = root
-        || Aig.in_tfi aig ~node:root ~root:(Aig.node_of candidate)
+        || Aig.in_tfi ~bound aig ~node:root ~root:(Aig.node_of candidate)
       then begin
         Aig.delete_dangling aig (Aig.node_of candidate);
         0
@@ -95,7 +101,7 @@ let resub_node aig ~zero_gain ~max_leaves ~max_divisors root =
       else begin
         let gain = Aig.gain_of_replacement aig ~root ~candidate in
         if gain > 0 || (zero_gain && gain = 0) then begin
-          Aig.replace aig root candidate;
+          Aig.replace_trusted aig root candidate;
           gain
         end
         else begin
@@ -146,10 +152,6 @@ let resub_node aig ~zero_gain ~max_leaves ~max_divisors root =
       (match !found with
       | None -> 0
       | Some (gate, li, lj, compl) ->
-        if Sys.getenv_opt "SBM_DEBUG_RESUB" <> None then
-          Printf.eprintf "resub commit: root=%d gate=%s li=%d lj=%d compl=%b\n%!" root
-            (match gate with `And -> "and" | `Xor -> "xor")
-            li lj compl;
         let lit =
           match gate with
           | `And -> Aig.band aig li lj
@@ -159,15 +161,17 @@ let resub_node aig ~zero_gain ~max_leaves ~max_divisors root =
   end
 
 let run_node ~zero_gain ~max_leaves ~max_divisors aig v =
-  if Aig.is_and aig v then resub_node aig ~zero_gain ~max_leaves ~max_divisors v
+  if Aig.is_and aig v then
+    resub_node aig (Aig.tfo_marks ()) ~zero_gain ~max_leaves ~max_divisors v
   else 0
 
 let run ?(zero_gain = false) ?(max_leaves = 8) ?(max_divisors = 40) aig =
+  let tfo = Aig.tfo_marks () in
   let order = Aig.topo aig in
   let total = ref 0 in
   Array.iter
     (fun v ->
       if Aig.is_and aig v then
-        total := !total + resub_node aig ~zero_gain ~max_leaves ~max_divisors v)
+        total := !total + resub_node aig tfo ~zero_gain ~max_leaves ~max_divisors v)
     order;
   !total

@@ -115,9 +115,20 @@ let rec build memo aig leaves tt =
     let hi = build memo aig leaves (Tt.cofactor1 tt v) in
     Aig.bor aig (Aig.lnot leaves.(v)) hi
 
-let of_tt aig tt leaves =
+type memo = (int * choice) Tt.Tbl.t
+
+let memo () = Tt.Tbl.create 256
+
+(* Only single-word tables go through a shared memo: a pass collapses
+   thousands of distinct wider cones, and keeping their sub-searches
+   for the whole pass nearly doubles the peak heap for few hits. *)
+let of_tt ?memo aig tt leaves =
   if Array.length leaves < Tt.num_vars tt then invalid_arg "Synth.of_tt: missing leaves";
-  let memo = Tt.Tbl.create 64 in
+  let memo =
+    match memo with
+    | Some m when Tt.num_vars tt <= 6 -> m
+    | Some _ | None -> Tt.Tbl.create 64
+  in
   build memo aig leaves tt
 
 let cost_of_tt tt =

@@ -109,30 +109,23 @@ let is_const1 a =
   let rec go i = i = n || (Int64.equal (Array.unsafe_get w i) mask && go (i + 1)) in
   go 0
 
-let compare a b =
-  let c = Stdlib.compare a.nvars b.nvars in
-  if c <> 0 then c
-  else begin
-    let u = a.words and v = b.words in
-    let n = Array.length u in
-    let rec go i =
-      if i = n then 0
-      else
-        (* Signed per-word compare: matches the order the previous
-           polymorphic Stdlib.compare imposed (NPN canonization
-           tie-breaks on it). *)
-        let c = Int64.compare (Array.unsafe_get u i) (Array.unsafe_get v i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
-  end
+(* Every bit of every word must reach the low bits, which pick the
+   bucket: a multiply-xor chain never carries high bits down, and
+   tables whose words are all 0 or -1 then share a handful of buckets.
+   Each 32-bit half goes through a full-avalanche mix. *)
+let mix h =
+  let h = (h lxor (h lsr 29)) * 0x3C79AC492BA7B653 in
+  let h = (h lxor (h lsr 32)) * 0x1C69B3F74AC4AE35 in
+  h lxor (h lsr 29)
 
 let hash a =
-  Array.fold_left
-    (fun acc w ->
-      (acc * 1000003) lxor Int64.to_int w lxor Int64.to_int (Int64.shift_right_logical w 32))
-    a.nvars a.words
-  land max_int
+  let h = ref a.nvars in
+  Array.iter
+    (fun w ->
+      h := mix (!h + (Int64.to_int w land 0xFFFF_FFFF));
+      h := mix (!h + Int64.to_int (Int64.shift_right_logical w 32)))
+    a.words;
+  !h land max_int
 
 (* Positive cofactor: every minterm reads the value it would have with
    variable [i] forced to 1; likewise for the negative cofactor. *)
@@ -271,9 +264,17 @@ let support t =
 
 let support_size t = List.length (support t)
 
+(* Branch-free SWAR count, on the two 32-bit halves as native ints so
+   nothing is boxed. *)
+let popcount32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+  ((x * 0x01010101) lsr 24) land 0xFF
+
 let popcount64 w =
-  let rec go w acc = if w = 0L then acc else go (Int64.logand w (Int64.sub w 1L)) (acc + 1) in
-  go w 0
+  popcount32 (Int64.to_int w land 0xFFFF_FFFF)
+  + popcount32 (Int64.to_int (Int64.shift_right_logical w 32))
 
 let count_ones t = Array.fold_left (fun acc w -> acc + popcount64 w) 0 t.words
 

@@ -45,7 +45,6 @@ val mux : t -> t -> t -> t
 val equal : t -> t -> bool
 val is_const0 : t -> bool
 val is_const1 : t -> bool
-val compare : t -> t -> int
 val hash : t -> int
 
 (** Imperative hash tables keyed by truth tables, using {!hash} and

@@ -208,6 +208,26 @@ let test_topo_and_levels () =
       end)
     order
 
+(* The fanout-cone marks resub filters divisors with must be the set
+   an in_tfi probe answers, also after rewriting has rewired fanouts. *)
+let test_tfo_marks_match_in_tfi () =
+  let rng = Rng.create 1313 in
+  let marks = Aig.tfo_marks () in
+  for round = 1 to 10 do
+    let aig = Helpers.random_xor_aig ~inputs:7 ~gates:40 ~outputs:4 rng in
+    if round mod 2 = 0 then ignore (Sbm_aig.Rewrite.run aig);
+    let order = Aig.topo aig in
+    Array.iter
+      (fun root ->
+        Aig.mark_tfo aig marks root;
+        Array.iter
+          (fun v ->
+            if Aig.in_tfo marks v <> Aig.in_tfi aig ~node:root ~root:v then
+              Alcotest.failf "round %d: tfo mark of %d disagrees at %d" round root v)
+          order)
+      order
+  done
+
 let suite =
   [
     Alcotest.test_case "constant folding" `Quick test_constant_folding;
@@ -223,4 +243,5 @@ let suite =
     Alcotest.test_case "compact" `Quick test_compact;
     Alcotest.test_case "random replace stress" `Quick test_random_replace_stress;
     Alcotest.test_case "topological order and levels" `Quick test_topo_and_levels;
+    Alcotest.test_case "tfo marks match in_tfi" `Quick test_tfo_marks_match_in_tfi;
   ]

@@ -105,6 +105,70 @@ let test_stretch_roundtrip =
       done;
       !ok)
 
+(* Straightforward leaf union and re-expression, the reference for
+   the allocation-free and word-parallel versions in [Cut]. *)
+let reference_merge_leaves k a b =
+  let la = Array.length a and lb = Array.length b in
+  let out = Array.make k 0 in
+  let rec go i j n =
+    if n > k then None
+    else if i = la && j = lb then Some (Array.sub out 0 n)
+    else if n = k then None
+    else if i = la then (out.(n) <- b.(j); go i (j + 1) (n + 1))
+    else if j = lb then (out.(n) <- a.(i); go (i + 1) j (n + 1))
+    else if a.(i) = b.(j) then (out.(n) <- a.(i); go (i + 1) (j + 1) (n + 1))
+    else if a.(i) < b.(j) then (out.(n) <- a.(i); go (i + 1) j (n + 1))
+    else (out.(n) <- b.(j); go i (j + 1) (n + 1))
+  in
+  go 0 0 0
+
+let reference_stretch tt leaves super =
+  let m = Array.length leaves in
+  let m' = Array.length super in
+  if m = m' then tt
+  else begin
+    let r = ref 0L in
+    for idx = 0 to (1 lsl m') - 1 do
+      let a = ref 0 in
+      let j = ref 0 in
+      for i = 0 to m' - 1 do
+        if !j < m && leaves.(!j) = super.(i) then begin
+          if (idx lsr i) land 1 = 1 then a := !a lor (1 lsl !j);
+          incr j
+        end
+      done;
+      if Int64.logand (Int64.shift_right_logical tt !a) 1L = 1L then
+        r := Int64.logor !r (Int64.shift_left 1L idx)
+    done;
+    !r
+  end
+
+(* A sorted array of distinct node ids below 16, at most [max_len]
+   long. *)
+let gen_leaves max_len =
+  QCheck2.Gen.(
+    list_size (int_bound max_len) (int_bound 15)
+    |> map (fun l -> Array.of_list (List.sort_uniq compare l)))
+
+let test_merge_leaves_reference =
+  Helpers.qcheck_case ~count:500 "merge_leaves agrees with the reference"
+    QCheck2.Gen.(triple (int_range 2 6) (gen_leaves 6) (gen_leaves 6))
+    (fun (k, a, b) -> Cut.merge_leaves k a b = reference_merge_leaves k a b)
+
+let test_stretch_reference =
+  Helpers.qcheck_case ~count:500 "stretch agrees with the reference"
+    QCheck2.Gen.(triple (gen_leaves 6) (gen_leaves 6) (int_bound 1_000_000))
+    (fun (leaves, extra, seed) ->
+      let tt = Sbm_util.Rng.next64 (Rng.create seed) in
+      (* [leaves] plus new leaves from [extra], at most 6 in all. *)
+      let room = 6 - Array.length leaves in
+      let added =
+        List.filter (fun v -> not (Array.mem v leaves)) (Array.to_list extra)
+        |> List.filteri (fun i _ -> i < room)
+      in
+      let super = Array.of_list (List.sort compare (Array.to_list leaves @ added)) in
+      Cut.stretch tt leaves super = reference_stretch tt leaves super)
+
 (* --- Synth --- *)
 
 let gen_tt =
@@ -151,6 +215,25 @@ let test_synth_of_sop =
       done;
       !ok)
 
+(* A memo shared by a sequence of calls (as a pass shares it) must
+   build exactly what per-call memos build: the same literals, in two
+   networks grown identically. *)
+let test_synth_shared_memo =
+  Helpers.qcheck_case ~count:30 "shared memo builds the same literals"
+    QCheck2.Gen.(
+      pair (int_bound 1_000_000) (list_size (int_range 1 30) (pair (int_range 1 8) (int_bound 3))))
+    (fun (base, specs) ->
+      let build memo =
+        let aig = Aig.create () in
+        let leaves = Array.init 8 (fun _ -> Aig.add_input aig) in
+        (* Few distinct (width, seed) pairs, so later calls hit what
+           earlier ones put in the shared memo. *)
+        List.map
+          (fun (n, k) -> Sbm_aig.Synth.of_tt ?memo aig (Tt.random n (Rng.create (base + k))) leaves)
+          specs
+      in
+      build (Some (Sbm_aig.Synth.memo ())) = build None)
+
 let test_synth_trivial () =
   let aig = Aig.create () in
   let a = Aig.add_input aig in
@@ -168,8 +251,11 @@ let suite =
     Alcotest.test_case "local cut functions" `Quick test_local_functions;
     Alcotest.test_case "cut width respected" `Quick test_cut_width_respected;
     test_stretch_roundtrip;
+    test_merge_leaves_reference;
+    test_stretch_reference;
     test_synth_exact;
     test_synth_cost_bound;
     test_synth_of_sop;
+    test_synth_shared_memo;
     Alcotest.test_case "synth trivial cases" `Quick test_synth_trivial;
   ]

@@ -151,6 +151,24 @@ let test_gradient_move_log () =
     stats.Sbm_core.Gradient.move_log;
   Alcotest.(check bool) "log nonempty" true (stats.Sbm_core.Gradient.move_log <> [])
 
+(* The baseline flow's exact output on two small arithmetic designs,
+   read back from binary AIGER as a user's file would be. Kernel
+   speed-ups must not move a single node. *)
+let test_baseline_output_pinned () =
+  List.iter
+    (fun (name, scale, bench, size, depth, hash) ->
+      let design = Sbm_epfl.Epfl.generate ~scale bench in
+      let input = Sbm_aig.Aiger.read_binary (Sbm_aig.Aiger.write_binary design) in
+      let out = Sbm_core.Flow.run Sbm_core.Flow.Baseline input in
+      Alcotest.(check int) (name ^ " size") size (Aig.size out);
+      Alcotest.(check int) (name ^ " depth") depth (Aig.depth out);
+      Alcotest.(check string) (name ^ " fold_hash") hash
+        (Printf.sprintf "%016Lx" (Aig.fold_hash out)))
+    [
+      ("sqrt8", 0.0625, Sbm_epfl.Epfl.Sqrt, 51, 19, "e03dbe247bd4b630");
+      ("log24", 0.125, Sbm_epfl.Epfl.Log2, 67, 24, "b71c76eb7fbc3353");
+    ]
+
 let suite =
   [
     Alcotest.test_case "all engines on degenerate shapes" `Quick test_engines_on_degenerate;
@@ -158,4 +176,5 @@ let suite =
     Alcotest.test_case "extreme partition limits" `Quick test_partition_limit_extremes;
     Alcotest.test_case "flow applied twice" `Slow test_flow_idempotent_safety;
     Alcotest.test_case "gradient move log" `Quick test_gradient_move_log;
+    Alcotest.test_case "baseline output pinned" `Quick test_baseline_output_pinned;
   ]

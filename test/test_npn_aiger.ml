@@ -1,71 +1,8 @@
-(* NPN canonization and binary AIGER. *)
+(* Binary AIGER and the reader's typed errors. The suite keeps its
+   "npn-aiger" label from when it also covered NPN canonization. *)
 
-module Tt = Sbm_truthtable.Tt
-module Npn = Sbm_truthtable.Npn
 module Aig = Sbm_aig.Aig
 module Rng = Sbm_util.Rng
-
-let gen_tt =
-  QCheck2.Gen.(
-    pair (int_range 1 4) (int_bound 1_000_000)
-    |> map (fun (n, seed) -> Tt.random n (Rng.create seed)))
-
-let test_canon_is_invariant =
-  Helpers.qcheck_case "transforms keep the class"
-    QCheck2.Gen.(triple gen_tt (int_bound 1_000_000) (int_bound 100))
-    (fun (tt, seed, neg) ->
-      let n = Tt.num_vars tt in
-      let rng = Rng.create seed in
-      let keyed = Array.init n (fun i -> (Rng.bits rng, i)) in
-      Array.sort compare keyed;
-      let t =
-        {
-          Npn.perm = Array.map snd keyed;
-          input_neg = neg land ((1 lsl n) - 1);
-          output_neg = neg land 64 <> 0;
-        }
-      in
-      let transformed = Npn.apply tt t in
-      Tt.equal (fst (Npn.canonize tt)) (fst (Npn.canonize transformed)))
-
-let test_canon_transform_consistent =
-  Helpers.qcheck_case "returned transform produces the canon" gen_tt (fun tt ->
-      let canon, t = Npn.canonize tt in
-      Tt.equal canon (Npn.apply tt t))
-
-let test_transform_inverse =
-  Helpers.qcheck_case "inverse undoes apply"
-    QCheck2.Gen.(pair gen_tt (int_bound 1_000_000))
-    (fun (tt, seed) ->
-      let n = Tt.num_vars tt in
-      let rng = Rng.create seed in
-      let keyed = Array.init n (fun i -> (Rng.bits rng, i)) in
-      Array.sort compare keyed;
-      let t =
-        {
-          Npn.perm = Array.map snd keyed;
-          input_neg = Rng.int rng (1 lsl n);
-          output_neg = Rng.bool rng;
-        }
-      in
-      Tt.equal tt (Npn.apply (Npn.apply tt t) (Npn.inverse t)))
-
-let test_npn_class_count () =
-  (* The 2-input functions form 4 NPN classes: const, projection,
-     AND-like, XOR-like. *)
-  let classes = Hashtbl.create 16 in
-  for f = 0 to 15 do
-    let tt = Tt.of_bits 2 (fun m -> (f lsr m) land 1 = 1) in
-    Hashtbl.replace classes (fst (Npn.canonize tt)) ()
-  done;
-  Alcotest.(check int) "4 classes of 2-input functions" 4 (Hashtbl.length classes)
-
-let test_equivalent () =
-  let and2 = Tt.band (Tt.var 2 0) (Tt.var 2 1) in
-  let nor2 = Tt.bnor (Tt.var 2 0) (Tt.var 2 1) in
-  let xor2 = Tt.bxor (Tt.var 2 0) (Tt.var 2 1) in
-  Alcotest.(check bool) "and ~ nor" true (Npn.equivalent and2 nor2);
-  Alcotest.(check bool) "and !~ xor" false (Npn.equivalent and2 xor2)
 
 (* --- binary AIGER --- *)
 
@@ -213,11 +150,6 @@ let test_delay_mode_not_deeper () =
 
 let suite =
   [
-    test_canon_is_invariant;
-    test_canon_transform_consistent;
-    test_transform_inverse;
-    Alcotest.test_case "npn class count" `Quick test_npn_class_count;
-    Alcotest.test_case "npn equivalent" `Quick test_equivalent;
     Alcotest.test_case "binary aiger roundtrip" `Quick test_binary_roundtrip;
     Alcotest.test_case "binary vs ascii" `Quick test_binary_vs_ascii;
     Alcotest.test_case "file format dispatch" `Quick test_file_format_dispatch;

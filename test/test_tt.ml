@@ -154,6 +154,32 @@ let test_flip =
       let i = iv mod n in
       Tt.equal t (Tt.flip (Tt.flip t i) i))
 
+(* Tables on 10 variables whose 16 words are each all 0 or all 1:
+   exactly the functions of variables 6-9. A hash that does not carry
+   high word bits into the low bits puts them all in a few buckets. *)
+let test_hash_spreads_word_tables () =
+  let minterm j =
+    List.fold_left
+      (fun acc i ->
+        let v = Tt.var 10 (6 + i) in
+        Tt.band acc (if (j lsr i) land 1 = 1 then v else Tt.bnot v))
+      (Tt.const1 10) [ 0; 1; 2; 3 ]
+  in
+  let minterms = Array.init 16 minterm in
+  let tables = Array.make 65536 (Tt.const0 10) in
+  for p = 1 to 65535 do
+    let low = p land (-p) in
+    let j = ref 0 in
+    while 1 lsl !j <> low do incr j done;
+    tables.(p) <- Tt.bor tables.(p lxor low) minterms.(!j)
+  done;
+  let buckets = Hashtbl.create 65536 in
+  Array.iter (fun t -> Hashtbl.replace buckets (Tt.hash t land 0xFFFF) ()) tables;
+  (* A uniform hash fills about 63 % of 2^16 buckets with 2^16 keys. *)
+  let filled = Hashtbl.length buckets in
+  if filled < 39_000 then
+    Alcotest.failf "2^16 word tables fill only %d of 65536 low-bit buckets" filled
+
 let suite =
   [
     Alcotest.test_case "variable projections" `Quick test_var_semantics;
@@ -164,6 +190,8 @@ let suite =
     test_double_negation;
     test_support_only_real_vars;
     test_count_ones;
+    Alcotest.test_case "hash spreads word-constant tables" `Quick
+      test_hash_spreads_word_tables;
     test_isop_covers;
     test_isop_with_dc;
     test_permute_roundtrip;
