@@ -29,6 +29,16 @@ let read_aig path =
     Fmt.epr "sbm: %s: %s@." path (Sbm_aig.Aiger.error_to_string at msg);
     Stdlib.exit 2
 
+(* A generator width scale: a float in (0, 1]. Anything else is a
+   usage error, not an exception from the generator. *)
+let scale_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0. && x <= 1. -> Ok x
+    | Some _ | None -> Error (`Msg (Fmt.str "invalid scale %S, expected a number in (0, 1]" s))
+  in
+  Arg.conv ~docv:"S" (parse, Fmt.float)
+
 let aig_arg =
   let doc = "Input network in ASCII AIGER (aag) format." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT.aag" ~doc)
@@ -274,7 +284,7 @@ let generate_cmd =
   in
   let scale_arg =
     let doc = "Width scale in (0,1]: shrinks arithmetic operands." in
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"S" ~doc)
+    Arg.(value & opt scale_conv 1.0 & info [ "scale" ] ~docv:"S" ~doc)
   in
   let seed_arg =
     let doc =
@@ -477,25 +487,37 @@ let cec_cmd =
     let doc = "Second network." in
     Arg.(required & pos 1 (some file) None & info [] ~docv:"OTHER.aag" ~doc)
   in
+  (* The verdict exit codes of [opt --verify]: 1 on a counterexample,
+     3 when inconclusive; networks with different I/O counts are a
+     usage error (exit 2). *)
   let run path other =
     let a = read_aig path in
     let b = read_aig other in
+    if Sbm_aig.Aig.num_inputs a <> Sbm_aig.Aig.num_inputs b
+       || Sbm_aig.Aig.num_outputs a <> Sbm_aig.Aig.num_outputs b
+    then begin
+      Fmt.epr "sbm: %s and %s have different input or output counts@." path other;
+      Stdlib.exit 2
+    end;
     match Sbm_cec.Cec.check a b with
-    | Sbm_cec.Cec.Equivalent ->
-      Fmt.pr "equivalent@.";
-      `Ok ()
+    | Sbm_cec.Cec.Equivalent -> Fmt.pr "equivalent@."
     | Sbm_cec.Cec.Counterexample cex ->
       let bits =
         String.concat "" (List.map (fun b -> if b then "1" else "0") (Array.to_list cex))
       in
       Fmt.pr "NOT equivalent (counterexample: %s)@." bits;
-      `Error (false, "networks differ")
+      Stdlib.exit 1
     | Sbm_cec.Cec.Unknown ->
       Fmt.pr "unknown (resource limit)@.";
-      `Error (false, "inconclusive")
+      Stdlib.exit 3
   in
-  let term = Term.(ret (const run $ aig_arg $ other_arg)) in
-  Cmd.v (Cmd.info "cec" ~doc:"Combinational equivalence check") term
+  let term = Term.(const run $ aig_arg $ other_arg) in
+  Cmd.v
+    (Cmd.info "cec"
+       ~doc:
+         "Combinational equivalence check (exit 1 on a counterexample, 3 when \
+          inconclusive)")
+    term
 
 (* --- bench --- *)
 
@@ -906,7 +928,7 @@ let attribute_cmd =
   in
   let scale_arg =
     let doc = "Width scale in (0,1] for generated arithmetic benchmarks." in
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"S" ~doc)
+    Arg.(value & opt scale_conv 1.0 & info [ "scale" ] ~docv:"S" ~doc)
   in
   let seed_arg =
     let doc = "RNG seed for generated structured-random benchmarks." in
@@ -1259,4 +1281,6 @@ let () =
         profile_cmd; inspect_cmd; top_cmd; metrics_cmd;
       ]
   in
-  exit (Cmd.eval group)
+  (* Usage errors (cmdliner's 124) exit 2, like malformed input. *)
+  let code = Cmd.eval group in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -99,11 +99,15 @@ let optimize_partition net config part_nodes =
         Network.set_cover net n cv)
       saved
   in
+  (* The trials restart from the same covers, so they share one memo;
+     it is dropped with the partition. *)
+  let memo = Network.memo () in
   let trial threshold =
     ignore
-      (Network.eliminate net ~threshold ~max_cubes:config.max_cubes ~only:eliminable ());
+      (Network.eliminate net ~threshold ~max_cubes:config.max_cubes ~memo
+         ~only:eliminable ());
     ignore
-      (Network.extract_kernels net
+      (Network.extract_kernels net ~memo
          ~only:(fun n -> member n || n >= mark)
          ~max_passes:config.extract_passes ());
     ignore

@@ -21,9 +21,9 @@ type t = {
   (* Caches over the reachable-cover structure, rebuilt lazily and
      dropped by [invalidate] on any cover mutation. [topo_cache] is
      the [internal_nodes] DFS order; [occ_cache.(v)] lists the
-     internal nodes whose cover references [v], in topological order
-     (exactly the fanout scan [eliminate_trial] used to recompute per
-     candidate, which made elimination quadratic in network size). *)
+     reachable internal nodes whose cover references [v], in no
+     particular order. [eliminate] updates [occ_cache] in place and
+     drops only [topo_cache]. *)
   mutable topo_cache : node_id list option;
   mutable occ_cache : int list array option;
 }
@@ -116,28 +116,33 @@ let internal_nodes t =
     order
 
 (* [occurrences t].(v) lists the reachable internal nodes whose cover
-   references [v], topologically ordered. *)
+   references [v]. A full rebuild dedupes each cover's variables with a
+   stamp array; between rebuilds [eliminate] keeps the lists up to date
+   (see [commit]). *)
+let build_occurrences t =
+  let occ = Array.make t.n [] in
+  let stamp = Array.make t.n (-1) in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun c ->
+          Array.iter
+            (fun l ->
+              let v = Sop.var_of l in
+              if stamp.(v) <> m then begin
+                stamp.(v) <- m;
+                occ.(v) <- m :: occ.(v)
+              end)
+            c)
+        (cover t m))
+    (internal_nodes t);
+  occ
+
 let occurrences t =
   match t.occ_cache with
   | Some occ when Array.length occ = t.n -> occ
   | Some _ | None ->
-    let occ = Array.make t.n [] in
-    List.iter
-      (fun m ->
-        let seen = Hashtbl.create 8 in
-        List.iter
-          (fun c ->
-            Array.iter
-              (fun l ->
-                let v = Sop.var_of l in
-                if not (Hashtbl.mem seen v) then begin
-                  Hashtbl.add seen v ();
-                  occ.(v) <- m :: occ.(v)
-                end)
-              c)
-          (cover t m))
-      (internal_nodes t);
-    Array.iteri (fun v l -> occ.(v) <- List.rev l) occ;
+    let occ = build_occurrences t in
     t.occ_cache <- Some occ;
     occ
 
@@ -146,17 +151,43 @@ let num_internal t = List.length (internal_nodes t)
 let num_lits t =
   List.fold_left (fun acc id -> acc + Sop.num_lits (cover t id)) 0 (internal_nodes t)
 
-let fanout_count t id =
-  let live = internal_nodes t in
-  List.fold_left
-    (fun acc m ->
-      let refs =
-        List.exists (fun c -> Array.exists (fun l -> Sop.var_of l = id) c) (cover t m)
-      in
-      if refs && m <> id then acc + 1 else acc)
-    0 live
-
 let is_output t id = Array.exists (fun (o, _) -> o = id) t.outs
+
+(* --- per-partition memo ---
+
+   [substitute] and kernel enumeration are pure functions of their
+   arguments, and the threshold trials of one partition restart from
+   the same covers, so most calls repeat. Keys are structural: the
+   covers themselves, the node and [max_cubes], which bounds the
+   result. *)
+
+let hash_cover h cv =
+  List.fold_left
+    (fun h c -> Array.fold_left (fun h l -> (h * 31) + l) ((h * 17) + Array.length c) c)
+    h cv
+
+module Cover_tbl = Hashtbl.Make (struct
+  type t = Sop.cover
+
+  let equal = ( = )
+  let hash cv = hash_cover 0 cv land max_int
+end)
+
+module Subst_tbl = Hashtbl.Make (struct
+  type t = Sop.cover * node_id * Sop.cover * int
+
+  let equal (cv, n, cn, k) (cv', n', cn', k') = n = n' && k = k' && cv = cv' && cn = cn'
+  let hash (cv, n, cn, k) = hash_cover (hash_cover ((n * 65599) + k) cn) cv land max_int
+end)
+
+type memo = {
+  subst : Sop.cover option Subst_tbl.t;
+  (* A cover's kernels with at least two cubes, as (canonical kernel,
+     co-kernel), in [Sop.kernels_bounded ~limit:30] order. *)
+  kernels : (Sop.cube list * Sop.cube) list Cover_tbl.t;
+}
+
+let memo () = { subst = Subst_tbl.create 256; kernels = Cover_tbl.create 256 }
 
 (* Substitute node [n]'s cover into cover [cv]; None on cube-count
    explosion or un-complementable negative occurrences. *)
@@ -188,59 +219,98 @@ let substitute ~max_cubes cv n cover_n =
       if List.length merged > max_cubes then None else Some merged
   end
 
-let eliminate_trial t n ~max_cubes =
+let substitute_memo memo ~max_cubes cv n cover_n =
+  let key = (cv, n, cover_n, max_cubes) in
+  match Subst_tbl.find_opt memo.subst key with
+  | Some r -> r
+  | None ->
+    let r = substitute ~max_cubes cv n cover_n in
+    Subst_tbl.add memo.subst key r;
+    r
+
+(* The fanout covers after collapsing non-output node [n] into each of
+   them, with the literal variation; None when [n] cannot be
+   collapsed. *)
+let eliminate_trial t memo n ~max_cubes =
   let nd = node t n in
   match nd.kind with
   | Pi _ -> None
   | Internal ->
-    if is_output t n || not nd.alive then None
+    if not nd.alive then None
     else begin
-      let fanouts = List.filter (fun m -> m <> n) (occurrences t).(n) in
-      if fanouts = [] then Some ([], - (Sop.num_lits nd.cover))
-      else begin
-        let rec go acc delta = function
-          | [] -> Some (acc, delta - Sop.num_lits nd.cover)
-          | m :: rest -> (
-            match substitute ~max_cubes (cover t m) n nd.cover with
-            | None -> None
-            | Some cv ->
-              go ((m, cv) :: acc) (delta + Sop.num_lits cv - Sop.num_lits (cover t m)) rest)
-        in
-        go [] 0 fanouts
-      end
+      let rec go acc delta = function
+        | [] -> Some (acc, delta - Sop.num_lits nd.cover)
+        | m :: rest -> (
+          let cv = cover t m in
+          match substitute_memo memo ~max_cubes cv n nd.cover with
+          | None -> None
+          | Some cv' -> go ((m, cv') :: acc) (delta + Sop.num_lits cv' - Sop.num_lits cv) rest)
+      in
+      go [] 0 (occurrences t).(n)
     end
 
-let eliminate_value t n ~max_cubes =
-  Option.map snd (eliminate_trial t n ~max_cubes)
+(* Commit the elimination of [n] and bring the occurrence lists up to
+   date without a rebuild: a fanout joins the list of each variable
+   entering its cover and leaves the list of each one leaving it. A
+   non-output internal node whose list empties is no longer reachable,
+   so it leaves its own fanins' lists in turn; [n] itself, referenced
+   by none of its former fanouts, is the first such node. All
+   additions come first, so no list empties on the way. The lists
+   then equal a rebuild as sets, which is all [eliminate_trial]
+   needs: it sums a delta and fails if any fanout fails. *)
+let commit t n updates =
+  let occ = occurrences t in
+  let left =
+    List.fold_left
+      (fun left (m, cv) ->
+        let rec diff left before after =
+          match (before, after) with
+          | [], [] -> left
+          | v :: before', [] -> diff ((v, m) :: left) before' []
+          | [], v :: after' ->
+            occ.(v) <- m :: occ.(v);
+            diff left [] after'
+          | u :: before', v :: after' ->
+            if u = v then diff left before' after'
+            else if u < v then diff ((u, m) :: left) before' after
+            else begin
+              occ.(v) <- m :: occ.(v);
+              diff left before after'
+            end
+        in
+        let left = diff left (Sop.support (cover t m)) (Sop.support cv) in
+        (node t m).cover <- cv;
+        left)
+      [] updates
+  in
+  (node t n).alive <- false;
+  let rec unlink (v, m) =
+    let l = occ.(v) in
+    if List.mem m l then begin
+      let l = List.filter (fun x -> x <> m) l in
+      occ.(v) <- l;
+      if l = [] && (node t v).kind = Internal && not (is_output t v) then
+        List.iter (fun u -> unlink (u, v)) (Sop.support (cover t v))
+    end
+  in
+  List.iter unlink left;
+  t.topo_cache <- None
 
-let eliminate_node t n ~max_cubes =
-  match eliminate_trial t n ~max_cubes with
-  | None -> None
-  | Some (updates, delta) ->
-    List.iter (fun (m, cv) -> (node t m).cover <- cv) updates;
-    (node t n).alive <- false;
-    invalidate t;
-    Some delta
-
-let eliminate t ~threshold ~max_cubes ?(only = fun _ -> true) () =
+let eliminate t ~threshold ~max_cubes ?(memo = memo ()) ?(only = fun _ -> true) () =
   let eliminated = ref 0 in
   let changed = ref true in
   while !changed do
     changed := false;
-    let candidates = internal_nodes t in
     List.iter
       (fun n ->
-        if only n && not (is_output t n) then begin
-          match eliminate_value t n ~max_cubes with
-          | Some v when v < threshold -> (
-            match eliminate_node t n ~max_cubes with
-            | Some _ ->
-              incr eliminated;
-              changed := true
-            | None -> ())
-          | Some _ | None -> ()
-        end)
-      candidates
+        if only n && not (is_output t n) then
+          match eliminate_trial t memo n ~max_cubes with
+          | Some (updates, delta) when delta < threshold ->
+            commit t n updates;
+            incr eliminated;
+            changed := true
+          | Some _ | None -> ())
+      (internal_nodes t)
   done;
   !eliminated
 
@@ -258,7 +328,33 @@ let kernel_value k occs =
   in
   per_occ - lits_k
 
-let extract_kernels t ?(only = fun _ -> true) ~max_passes () =
+let extract_kernels t ?(memo = memo ()) ?(only = fun _ -> true) ~max_passes () =
+  (* Most covers survive a pass unchanged: [last] keeps each node's
+     kernels for the cover they were computed on, checked physically
+     before the structural memo is hashed. *)
+  let last : (node_id, Sop.cover * (Sop.cube list * Sop.cube) list) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  let kernels n cv =
+    match Hashtbl.find_opt last n with
+    | Some (cv', ks) when cv' == cv -> ks
+    | Some _ | None ->
+      let ks =
+        match Cover_tbl.find_opt memo.kernels cv with
+        | Some ks -> ks
+        | None ->
+          let ks =
+            List.filter_map
+              (fun (k, cok) ->
+                if List.length k >= 2 then Some (Sop.canonical k, cok) else None)
+              (Sop.kernels_bounded ~limit:30 cv)
+          in
+          Cover_tbl.add memo.kernels cv ks;
+          ks
+      in
+      Hashtbl.replace last n (cv, ks);
+      ks
+  in
   let created = ref 0 in
   let continue_ = ref true in
   let pass = ref 0 in
@@ -272,13 +368,10 @@ let extract_kernels t ?(only = fun _ -> true) ~max_passes () =
         let cv = cover t n in
         if List.length cv >= 2 then
           List.iter
-            (fun (k, cok) ->
-              if List.length k >= 2 then begin
-                let key = Sop.canonical k in
-                let prev = Option.value ~default:[] (Hashtbl.find_opt table key) in
-                Hashtbl.replace table key ((n, cok) :: prev)
-              end)
-            (Sop.kernels_bounded ~limit:30 cv))
+            (fun (key, cok) ->
+              let prev = Option.value ~default:[] (Hashtbl.find_opt table key) in
+              Hashtbl.replace table key ((n, cok) :: prev))
+            (kernels n cv))
       nodes;
     (* Pick the best-value kernel. *)
     let best = ref None in
@@ -520,7 +613,16 @@ let check t =
       state.(id) <- 2
     end
   in
-  Array.iter (fun (id, _) -> visit id) t.outs
+  Array.iter (fun (id, _) -> visit id) t.outs;
+  match t.occ_cache with
+  | Some occ when Array.length occ = t.n ->
+    let fresh = build_occurrences t in
+    Array.iteri
+      (fun v l ->
+        if List.sort Int.compare l <> List.sort Int.compare fresh.(v) then
+          failwith (Printf.sprintf "Network.check: stale occurrence list of node %d" v))
+      occ
+  | Some _ | None -> ()
 
 let eval t bits =
   if Array.length bits <> num_inputs t then invalid_arg "Network.eval";

@@ -44,35 +44,35 @@ val internal_nodes : t -> node_id list
 (** [cover t n] is the cover of internal node [n]. *)
 val cover : t -> node_id -> Sop.cover
 
-(** [fanout_count t n] is the number of internal nodes whose cover
-    references [n] (output references excluded). *)
-val fanout_count : t -> node_id -> int
-
 (** [is_output t n] is true when some primary output refers to [n]. *)
 val is_output : t -> node_id -> bool
 
-(** [eliminate_node t n ~max_cubes] collapses node [n] into all its
-    fanouts if every substitution stays below [max_cubes] cubes;
-    returns [Some delta_literals] (the achieved literal variation,
-    negative = improvement) or [None] when the collapse was not
-    possible (output node, PI, or explosion). *)
-val eliminate_node : t -> node_id -> max_cubes:int -> int option
+(** Results of SOP work that the threshold trials of one partition
+    repeat: substitutions of a node's cover into a fanout cover, and
+    the kernels of a cover. Both are pure functions of their
+    arguments, keyed structurally, so sharing a memo between
+    {!eliminate} and {!extract_kernels} calls never changes a result.
+    A memo grows with every distinct cover it sees: keep it no longer
+    than one partition. It is not safe to share between domains. *)
+type memo
 
-(** [eliminate_value t n ~max_cubes] computes the literal variation
-    that {!eliminate_node} would achieve, without committing. *)
-val eliminate_value : t -> node_id -> max_cubes:int -> int option
+val memo : unit -> memo
 
-(** [eliminate t ~threshold ~max_cubes ?only] repeatedly collapses
+(** [eliminate t ~threshold ~max_cubes ?memo ?only] repeatedly collapses
     nodes whose literal variation is below [threshold] until a fixed
     point (paper, Section IV-B). [only] restricts candidates to a node
-    subset (the per-partition heterogeneous mode). Returns the number
-    of nodes eliminated. *)
-val eliminate : t -> threshold:int -> max_cubes:int -> ?only:(node_id -> bool) -> unit -> int
+    subset (the per-partition heterogeneous mode). Without [memo] the
+    call uses a memo of its own. Returns the number of nodes
+    eliminated. *)
+val eliminate :
+  t -> threshold:int -> max_cubes:int -> ?memo:memo -> ?only:(node_id -> bool) -> unit -> int
 
-(** [extract_kernels t ?only ~max_passes ()] greedily extracts the
-    best-value kernel as a new node until no kernel saves literals, at
-    most [max_passes] times. Returns the number of new nodes. *)
-val extract_kernels : t -> ?only:(node_id -> bool) -> max_passes:int -> unit -> int
+(** [extract_kernels t ?memo ?only ~max_passes ()] greedily extracts
+    the best-value kernel as a new node until no kernel saves
+    literals, at most [max_passes] times. Without [memo] the call uses
+    a memo of its own. Returns the number of new nodes. *)
+val extract_kernels :
+  t -> ?memo:memo -> ?only:(node_id -> bool) -> max_passes:int -> unit -> int
 
 (** [extract_cubes t ?only ~max_passes ()] greedily extracts the best
     common sub-cube (two literals) shared across cubes. Returns the
@@ -105,7 +105,8 @@ val revive : t -> node_id -> unit
 val truncate : t -> int -> unit
 
 (** [check t] validates structural invariants (acyclicity, live
-    references); raises [Failure] on violation. *)
+    references, and occurrence lists, when cached, that equal a
+    rebuild as sets); raises [Failure] on violation. *)
 val check : t -> unit
 
 (** [eval t bits] evaluates all outputs on one input assignment

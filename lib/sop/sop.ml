@@ -96,13 +96,29 @@ let cube_compare (a : cube) (b : cube) =
     go 0
   end
 
+(* Absorption: cube [c] is redundant when some other cube's literals
+   are a subset of [c]'s. After [sort_uniq] such a cube is strictly
+   shorter, so it sorts earlier ([cube_compare] orders by length
+   first); absorption is transitive, so checking [c] against the
+   shorter cubes already kept drops exactly the cubes an all-pairs
+   check would. A cube's
+   signature sets bit [l mod 63] for each literal [l]; a subset's
+   signature has no bit outside the superset's, which rejects most
+   pairs before [cube_contains]. *)
 let normalize cover =
-  let sorted = List.sort_uniq cube_compare cover in
-  (* Absorption: cube [c] is redundant when some other cube's literals
-     are a subset of [c]'s. *)
-  List.filter
-    (fun c -> not (List.exists (fun d -> d != c && cube_contains c d) sorted))
-    sorted
+  let signature c = Array.fold_left (fun s l -> s lor (1 lsl (l mod 63))) 0 c in
+  let rec go kept = function
+    | [] -> List.rev_map fst kept
+    | c :: rest ->
+      let len = Array.length c and sc = signature c in
+      if
+        List.exists
+          (fun (d, sd) -> sd land lnot sc = 0 && Array.length d < len && cube_contains c d)
+          kept
+      then go kept rest
+      else go ((c, sc) :: kept) rest
+  in
+  go [] (List.sort_uniq cube_compare cover)
 
 let is_const0 cover = cover = []
 let is_const1 cover = List.exists (fun c -> Array.length c = 0) cover

@@ -169,6 +169,29 @@ let test_baseline_output_pinned () =
       ("log24", 0.125, Sbm_epfl.Epfl.Log2, 67, 24, "b71c76eb7fbc3353");
     ]
 
+(* The sbm-low flow's exact output on a small control design, at jobs
+   1 and 2. Speed-ups of the SOP kernel engine must not move a node,
+   and the partition-parallel passes must merge to the same network. *)
+let test_sbm_low_output_pinned () =
+  let design =
+    Sbm_epfl.Epfl.random_control ~seed:100 ~inputs:10 ~outputs:8 ~gates:100
+  in
+  List.iter
+    (fun jobs ->
+      let saved = Sbm_par.Jobs.get () in
+      Sbm_par.Jobs.set jobs;
+      let out =
+        Fun.protect
+          ~finally:(fun () -> Sbm_par.Jobs.set saved)
+          (fun () -> Sbm_core.Flow.run (Sbm_core.Flow.Sbm Sbm_core.Flow.Low) design)
+      in
+      let tag = Printf.sprintf "jobs %d " jobs in
+      Alcotest.(check int) (tag ^ "size") 49 (Aig.size out);
+      Alcotest.(check int) (tag ^ "depth") 11 (Aig.depth out);
+      Alcotest.(check string) (tag ^ "fold_hash") "b8c2badf7768d9f5"
+        (Printf.sprintf "%016Lx" (Aig.fold_hash out)))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "all engines on degenerate shapes" `Quick test_engines_on_degenerate;
@@ -177,4 +200,5 @@ let suite =
     Alcotest.test_case "flow applied twice" `Slow test_flow_idempotent_safety;
     Alcotest.test_case "gradient move log" `Quick test_gradient_move_log;
     Alcotest.test_case "baseline output pinned" `Quick test_baseline_output_pinned;
+    Alcotest.test_case "sbm-low output pinned" `Quick test_sbm_low_output_pinned;
   ]

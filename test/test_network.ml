@@ -116,8 +116,67 @@ let test_snapshot_rollback () =
   Network.check net;
   assert_network_matches_aig aig net
 
+(* [eliminate] keeps its occurrence lists up to date instead of
+   rebuilding them; [check] compares them with a rebuild. Two
+   eliminations in a row also start the second from the maintained
+   lists. *)
+let test_occurrences_stay_exact =
+  Helpers.qcheck_case ~count:60 "eliminate keeps occurrence lists exact"
+    QCheck2.Gen.(
+      triple (int_bound 1_000_000) (int_range (-2) 60) (int_range (-2) 300))
+    (fun (seed, t1, t2) ->
+      let rng = Rng.create seed in
+      let aig =
+        if seed mod 2 = 0 then Helpers.random_aig ~inputs:8 ~ands:70 ~outputs:5 rng
+        else Helpers.random_xor_aig ~inputs:8 ~gates:40 ~outputs:5 rng
+      in
+      let net = Network.of_aig aig in
+      ignore (Network.eliminate net ~threshold:t1 ~max_cubes:64 ());
+      Network.check net;
+      ignore (Network.eliminate net ~threshold:t2 ~max_cubes:16 ());
+      Network.check net;
+      assert_network_matches_aig aig net;
+      true)
+
+(* Threshold trials with rollbacks in between, as the heterogeneous
+   engine runs them: one memo shared by every call must give the same
+   networks as a fresh memo per call. The cube bound varies too, since
+   a substitution that fits under one bound may explode under
+   another. *)
+let test_shared_memo_across_rollback () =
+  let rng = Rng.create 35 in
+  for _ = 1 to 4 do
+    let aig = Helpers.random_xor_aig ~inputs:7 ~gates:45 ~outputs:4 rng in
+    let trials memo =
+      let net = Network.of_aig aig in
+      let mark = Network.mark net in
+      let saved =
+        List.map (fun n -> (n, Network.cover net n)) (Network.internal_nodes net)
+      in
+      List.map
+        (fun (threshold, max_cubes) ->
+          ignore (Network.eliminate net ~threshold ~max_cubes ?memo ());
+          ignore (Network.extract_kernels net ?memo ~max_passes:10 ());
+          Network.check net;
+          let h = Network.fold_hash net in
+          Network.truncate net mark;
+          List.iter
+            (fun (n, cv) ->
+              Network.revive net n;
+              Network.set_cover net n cv)
+            saved;
+          h)
+        [ (-1, 64); (5, 64); (50, 64); (50, 4); (5, 64); (-1, 64); (200, 4); (200, 64) ]
+    in
+    Alcotest.(check (list int64))
+      "shared memo = no memo" (trials None) (trials (Some (Network.memo ())))
+  done
+
 let suite =
   [
+    test_occurrences_stay_exact;
+    Alcotest.test_case "shared memo across rollbacks" `Quick
+      test_shared_memo_across_rollback;
     Alcotest.test_case "aig round-trip" `Quick test_roundtrip;
     Alcotest.test_case "eliminate preserves function" `Quick test_eliminate_preserves;
     Alcotest.test_case "extraction preserves function" `Quick test_extract_preserves;

@@ -39,6 +39,25 @@ let test_normalize_preserves =
   Helpers.qcheck_case "normalize preserves semantics" gen_cover (fun (c, n) ->
       semantically_equal n c (Sop.normalize c))
 
+(* The absorption filter as first written: every cube against every
+   other one. [Sop.normalize] must return exactly this list. *)
+let all_pairs_normalize cover =
+  let sorted =
+    List.sort_uniq (fun a b -> compare (Array.length a, a) (Array.length b, b)) cover
+  in
+  List.filter
+    (fun c -> not (List.exists (fun d -> d != c && Sop.cube_contains c d) sorted))
+    sorted
+
+let test_normalize_all_pairs =
+  Helpers.qcheck_case ~count:300 "normalize equals all-pairs absorption"
+    QCheck2.Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* nvars = int_range 1 6 in
+      let* ncubes = int_range 0 14 in
+      return (random_cover (Rng.create seed) nvars ncubes 4))
+    (fun c -> Sop.normalize c = all_pairs_normalize c)
+
 let test_division_identity =
   Helpers.qcheck_case "f = q*d + r (algebraic division)"
     QCheck2.Gen.(pair gen_cover gen_cover)
@@ -142,6 +161,7 @@ let test_textbook_kernels () =
 let suite =
   [
     test_normalize_preserves;
+    test_normalize_all_pairs;
     test_division_identity;
     test_divide_by_cube;
     test_kernels_are_cube_free;
